@@ -68,6 +68,13 @@ for seed in 17 42 99; do
     run env POOL_CHAOS_SEED="$seed" cargo test -q -p crowdselect --test pool_chaos
 done
 
+# End-to-end benchmark output check: a short select_wide run (100k-worker
+# roster) exits 1 if any SELECT differs bit for bit from the
+# `project_bow` + `select_top_k_serial` oracle. Writes only to the
+# git-ignored perfbench/out/ (see perfbench/README.md).
+run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload select_wide --seed 1 --seconds 2 --trace 0
+
 # Bench smoke: the dense serving path must beat the serial baseline by the
 # speedup gate, and thread scaling over the persistent scoring pool must
 # hold (strict t8 < t1 on multi-core hosts; no-regression bounds on

@@ -1,11 +1,11 @@
 //! Serving-path throughput: the dense `SkillMatrix` kernels against the
-//! serial hash-walk baseline.
+//! serial per-worker baseline.
 //!
 //! Sweeps candidate-pool sizes {1k, 10k, 100k} × thread counts {1, 2, 4, 8}
 //! for the chunk-parallel mean path (t > 1 runs on the persistent scoring
 //! pool), plus the blocked batch kernel (B = 32 queries sharing one pool)
 //! and the opt-in f32 serving mirror (single-query and batched).
-//! `select_top_k_serial` — one hash lookup and one scattered `Vector::dot`
+//! `select_top_k_serial` — one row lookup and one scattered `Vector::dot`
 //! per candidate — is the preserved baseline every dense path is measured
 //! (and bit-compared, in the property tests) against. The machine-readable
 //! version of this sweep is the `selection_smoke` bin, which writes

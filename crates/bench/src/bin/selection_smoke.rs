@@ -6,7 +6,8 @@
 //! of {1k, 10k, 100k} workers:
 //!
 //! - `serial` — the preserved pre-dense baseline (`select_top_k_serial`):
-//!   one hash lookup plus one scattered `Vector::dot` per candidate.
+//!   one dense-index row lookup plus one scattered `Vector::dot` per
+//!   candidate, through the per-worker skill records.
 //! - `dense_t1/t2/t4/t8` — the contiguous `SkillMatrix` walk at 1–8
 //!   threads (`select_top_k_with_threads`); t>1 runs on the persistent
 //!   scoring pool (`crowd_math::ScoringPool`), not per-call spawns.
@@ -49,7 +50,12 @@ const TOP_K: usize = 10;
 const BATCH: usize = 32;
 const POOL_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// Minimum batched-vs-serial per-query speedup at the largest pool.
-const GATE_MIN_SPEEDUP: f64 = 10.0;
+///
+/// The serial baseline reaches its skill records through the same dense
+/// id → row index as the batched path, so the ratio measures the blocked
+/// kernel and the contiguous layout alone: 6–8.5x at 100k on a 2-vCPU host.
+/// The gate sits about a third below that, room for the host's swings.
+const GATE_MIN_SPEEDUP: f64 = 5.0;
 /// Single-core hosts: max allowed `dense_t8 / dense_t1` at 100k candidates.
 const GATE_SINGLE_CORE_SLACK_100K: f64 = 1.05;
 /// Single-core hosts: max allowed `dense_t8 / dense_t1` at 1k candidates

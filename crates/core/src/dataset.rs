@@ -2,7 +2,6 @@
 
 use crowd_store::{CrowdDb, ShardedDb, TaskId, WorkerId};
 use crowd_text::BagOfWords;
-use std::collections::HashMap;
 
 /// One training task: its distinct terms with counts, plus scored jobs
 /// referencing *dense* worker indexes.
@@ -20,16 +19,17 @@ pub struct TaskData {
 
 /// The training view `(T, A, S)` with dense indexes on both sides.
 ///
-/// Workers are compacted: only ids that appear in the store are mapped, so
-/// skill vectors can live in flat `Vec`s during inference. The mapping is
-/// retained for translating back to [`WorkerId`]s at selection time.
+/// A worker's dense index is its store id: both stores mint worker ids 0,
+/// 1, 2, … (`crowd_store::WorkerId`), so skill vectors live in flat `Vec`s
+/// during inference and dense index `i` translates back to `WorkerId(i)`
+/// with no map.
 #[derive(Debug, Clone)]
 pub struct TrainingSet {
     /// Shared behind `Arc` so the pooled E-step's `'static` chunk jobs can
     /// hold a handle to the task list instead of copying it per iteration.
     tasks: std::sync::Arc<Vec<TaskData>>,
+    /// `worker_ids[i] == WorkerId(i)` for every `i`.
     worker_ids: Vec<WorkerId>,
-    worker_index: HashMap<WorkerId, usize>,
     vocab_size: usize,
 }
 
@@ -61,21 +61,17 @@ impl TrainingSet {
         worker_ids: Vec<WorkerId>,
         vocab_size: usize,
     ) -> Self {
-        let worker_index: HashMap<WorkerId, usize> = worker_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (w, i))
-            .collect();
+        debug_assert!(
+            worker_ids.iter().enumerate().all(|(i, w)| w.index() == i),
+            "store worker ids are dense"
+        );
         let tasks = resolved
             .into_iter()
             .map(|rt| {
                 let words: Vec<(usize, u32)> = rt.bow.iter().map(|(t, c)| (t.index(), c)).collect();
                 let num_tokens = rt.bow.total_tokens() as f64;
-                let mut scores: Vec<(usize, f64)> = rt
-                    .scores
-                    .iter()
-                    .map(|&(w, s)| (worker_index[&w], s))
-                    .collect();
+                let mut scores: Vec<(usize, f64)> =
+                    rt.scores.iter().map(|&(w, s)| (w.index(), s)).collect();
                 scores.sort_by_key(|&(w, _)| w);
                 TaskData {
                     task: rt.task,
@@ -88,7 +84,6 @@ impl TrainingSet {
         TrainingSet {
             tasks: std::sync::Arc::new(tasks),
             worker_ids,
-            worker_index,
             vocab_size,
         }
     }
@@ -114,16 +109,9 @@ impl TrainingSet {
         // Synthetic dense ids; saturate rather than wrap if a caller ever
         // asks for more workers than the u32 id space holds.
         let count = u32::try_from(num_workers).unwrap_or(u32::MAX);
-        let worker_ids: Vec<WorkerId> = (0..count).map(WorkerId).collect();
-        let worker_index = worker_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (w, i))
-            .collect();
         TrainingSet {
             tasks: std::sync::Arc::new(tasks),
-            worker_ids,
-            worker_index,
+            worker_ids: (0..count).map(WorkerId).collect(),
             vocab_size,
         }
     }
@@ -153,9 +141,9 @@ impl TrainingSet {
         self.vocab_size
     }
 
-    /// Dense index for a worker id.
+    /// Dense index for a worker id: the id itself, when it is in the set.
     pub fn worker_dense(&self, w: WorkerId) -> Option<usize> {
-        self.worker_index.get(&w).copied()
+        (w.index() < self.worker_ids.len()).then_some(w.index())
     }
 
     /// Worker id for a dense index.

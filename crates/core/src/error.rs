@@ -13,6 +13,8 @@ pub enum CoreError {
     Numerical(String),
     /// Referenced a worker the model has never seen.
     UnknownWorker(crowd_store::WorkerId),
+    /// A worker id appeared twice where each worker must have one posterior.
+    DuplicateWorker(crowd_store::WorkerId),
 }
 
 impl fmt::Display for CoreError {
@@ -22,6 +24,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
             CoreError::UnknownWorker(w) => write!(f, "worker {w} is unknown to the model"),
+            CoreError::DuplicateWorker(w) => write!(f, "worker {w} appears more than once"),
         }
     }
 }

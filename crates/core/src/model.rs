@@ -138,9 +138,10 @@ impl TaskProjection {
 pub struct TdpmModel {
     params: ModelParams,
     config: TdpmConfig,
+    /// Per-worker posterior records, indexed by the worker's row in
+    /// `matrix`: both share one numbering, so the matrix's dense id → row
+    /// index serves both.
     skills: Vec<WorkerSkill>,
-    worker_ids: Vec<WorkerId>,
-    worker_index: HashMap<WorkerId, usize>,
     ctx: EStepContext,
     /// Fitted posteriors of the training tasks, keyed by store id. Unlike a
     /// fresh [`TdpmModel::project_bow`] projection these are
@@ -185,29 +186,28 @@ impl ModelMetrics {
 impl TdpmModel {
     /// Assembles a model from trained parameters and per-worker skill states.
     ///
-    /// `skills` must be in the same dense order as `worker_ids`.
+    /// `skills` must be in the same dense order as `worker_ids`, which must
+    /// be distinct ([`CoreError::DuplicateWorker`] otherwise): skill `i`
+    /// becomes matrix row `i`.
     pub(crate) fn assemble(
         params: ModelParams,
         config: TdpmConfig,
         skills: Vec<WorkerSkill>,
         worker_ids: Vec<WorkerId>,
     ) -> Result<Self> {
+        debug_assert_eq!(skills.len(), worker_ids.len(), "one skill per worker");
         let ctx = EStepContext::new(&params)?;
-        let worker_index = worker_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (w, i))
-            .collect();
         let mut matrix = SkillMatrix::with_capacity(config.num_categories, worker_ids.len());
         for (&w, skill) in worker_ids.iter().zip(&skills) {
+            if matrix.row_of(w).is_some() {
+                return Err(CoreError::DuplicateWorker(w));
+            }
             matrix.upsert(w, skill.mean.as_slice(), skill.variance.as_slice());
         }
         Ok(TdpmModel {
             params,
             config,
             skills,
-            worker_ids,
-            worker_index,
             ctx,
             trained_tasks: HashMap::new(),
             matrix,
@@ -286,21 +286,21 @@ impl TdpmModel {
 
     /// Ids of all workers known to the model.
     pub fn worker_ids(&self) -> &[WorkerId] {
-        &self.worker_ids
+        self.matrix.ids()
     }
 
     /// The skill state for a worker.
     pub fn skill(&self, worker: WorkerId) -> Option<&WorkerSkill> {
-        self.worker_index.get(&worker).map(|&i| &self.skills[i])
+        self.matrix
+            .row_of(worker)
+            .and_then(|row| self.skills.get(row))
     }
 
     /// Registers a worker unseen at training time; starts at the prior.
     pub fn add_worker(&mut self, worker: WorkerId) {
-        if self.worker_index.contains_key(&worker) {
+        if self.matrix.row_of(worker).is_some() {
             return;
         }
-        self.worker_index.insert(worker, self.skills.len());
-        self.worker_ids.push(worker);
         let mut skill = WorkerSkill::at_prior(self.num_categories());
         skill.mean = self.params.mu_w.clone();
         for k in 0..self.num_categories() {
@@ -547,7 +547,7 @@ impl TdpmModel {
     }
 
     /// Reference top-k selection through the per-worker skill records (one
-    /// hash lookup + `Vector::dot` per candidate) — the pre-dense serial
+    /// row lookup + `Vector::dot` per candidate) — the pre-dense serial
     /// path, kept as the bit-identity oracle for the property tests and the
     /// benchmark baseline.
     pub fn select_top_k_serial(
@@ -565,8 +565,8 @@ impl TdpmModel {
     /// Batched top-k selection: one ranking per projection, all over the
     /// same candidate pool. Resolves the pool against the [`SkillMatrix`]
     /// once and scores through the cache-blocked batch kernel, so the per-
-    /// query cost is a contiguous matrix walk instead of a hash walk plus
-    /// scattered dots. Each returned ranking is bit-identical to
+    /// query cost is a contiguous matrix walk instead of scattered dots.
+    /// Each returned ranking is bit-identical to
     /// [`TdpmModel::select_top_k`] on the same projection.
     pub fn select_top_k_batch(
         &self,
@@ -712,9 +712,9 @@ impl TdpmModel {
         score: f64,
     ) -> Result<()> {
         let started = std::time::Instant::now();
-        let &idx = self
-            .worker_index
-            .get(&worker)
+        let idx = self
+            .matrix
+            .row_of(worker)
             .ok_or(CoreError::UnknownWorker(worker))?;
         if !score.is_finite() {
             return Err(CoreError::Numerical(format!(
@@ -777,12 +777,8 @@ impl TdpmModel {
         crate::validate::run(&self.metrics.validations, "record_feedback", || {
             let skill = &self.skills[idx];
             crowd_math::Validate::validate(skill).map_err(|e| format!("skill[{worker:?}]: {e}"))?;
-            let row = self
-                .matrix
-                .row_of(worker)
-                .ok_or_else(|| format!("worker {worker:?} missing from the serving snapshot"))?;
-            if self.matrix.mean_row(row) != skill.mean.as_slice()
-                || self.matrix.var_row(row) != skill.variance.as_slice()
+            if self.matrix.mean_row(idx) != skill.mean.as_slice()
+                || self.matrix.var_row(idx) != skill.variance.as_slice()
             {
                 return Err(format!(
                     "serving snapshot out of lockstep with skill posterior for {worker:?}"

@@ -46,8 +46,9 @@ impl ModelSnapshot {
         let workers = model
             .worker_ids()
             .iter()
-            // `worker_ids` and `skill` read the same map, so every listed
-            // worker resolves; `filter_map` keeps the capture total anyway.
+            // `worker_ids` and `skill` read the same row index, so every
+            // listed worker resolves; `filter_map` keeps the capture total
+            // anyway.
             .filter_map(|&id| {
                 let s = model.skill(id)?;
                 let (sum_cc, sum_sc, sum_diag) = s.sufficient_stats();

@@ -2,16 +2,16 @@
 //!
 //! The online selection query (paper Eq. 1; Algorithm 3 line 7) scores every
 //! candidate worker against one projected task. Serving that from the
-//! per-worker [`crate::model::WorkerSkill`] records means one `HashMap`
-//! lookup plus a heap-allocated [`crowd_math::Vector`] dot per candidate per
-//! query. [`SkillMatrix`] is the dense alternative: a contiguous row-major
+//! per-worker [`crate::model::WorkerSkill`] records means a scattered
+//! heap-allocated [`crowd_math::Vector`] dot per candidate per query.
+//! [`SkillMatrix`] is the dense alternative: a contiguous row-major
 //! `W × K` structure-of-arrays snapshot of the posterior means, with a
 //! parallel `W × K` variance block for the optimistic (UCB) path, an f32
 //! mirror of the means for the opt-in reduced-precision serving path, and a
-//! dense row-index ↔ [`WorkerId`] map. The model keeps it in lockstep with
+//! dense [`WorkerId`] → row index. The model keeps it in lockstep with
 //! the skill records — rebuilt on fit/assembly and row-upserted on
 //! `add_worker` / `record_feedback` — so selection never touches the
-//! `Vector`-of-`HashMap` storage at all.
+//! per-worker `Vector` storage at all.
 //!
 //! The dense blocks live behind `Arc` because parallel selection no longer
 //! spawns scoped threads per call: chunk jobs are `'static` closures
@@ -45,12 +45,26 @@ use crowd_math::guard::{Unchecked, WorkGuard, CHECKPOINT_ROWS};
 use crowd_math::kernels::{self, GEMV_BLOCK_ROWS};
 use crowd_math::ScoringPool;
 use crowd_store::WorkerId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Candidates resolved against the matrix: `(worker, row index)` pairs in
 /// input order, unknown workers dropped.
 pub type ResolvedCandidates = Vec<(WorkerId, usize)>;
+
+/// Entry of the dense id → row index for an id that has no row.
+const NO_ROW: u32 = u32::MAX;
+
+/// The one audited usize → u32 narrowing for row numbers.
+///
+/// Rows are numbered 0, 1, 2, … in insertion order, one per distinct
+/// `u32` worker id, so a row number fits `u32`; reaching the [`NO_ROW`]
+/// sentinel would take 2^32 − 1 rows, which exhausts memory first. The
+/// wrap stays (asserted in debug builds), as in the store's `dense_id`.
+fn row_number(n: usize) -> u32 {
+    debug_assert!(n < NO_ROW as usize, "row space exhausted");
+    // crowd-lint: allow(no-silent-truncation) -- single audited choke point; debug-asserted, unreachable before memory exhaustion
+    n as u32
+}
 
 /// Smallest candidate chunk worth handing to the [`ScoringPool`].
 ///
@@ -128,6 +142,71 @@ fn merge_partials(partials: Vec<(Vec<RankedWorker>, usize)>, n: usize, k: usize)
     }
 }
 
+/// Element type of a dense mean block: `f64` means or their `f32` mirror,
+/// scored with the fixed-order kernel for that width and widened (exactly)
+/// to f64 for ranking.
+trait ScoreElem: Clone + Send + Sync + 'static {
+    fn dot(row: &[Self], x: &[Self]) -> f64;
+}
+
+impl ScoreElem for f64 {
+    #[inline]
+    fn dot(row: &[f64], x: &[f64]) -> f64 {
+        kernels::dot(row, x)
+    }
+}
+
+impl ScoreElem for f32 {
+    #[inline]
+    fn dot(row: &[f32], x: &[f32]) -> f64 {
+        f64::from(kernels::dot_f32(row, x))
+    }
+}
+
+/// Fused block scorer for one chunk of batched queries: scores one
+/// [`GEMV_BLOCK_ROWS`] block into an L1-resident scratch and feeds each
+/// query's [`TopK`] heap immediately, instead of materializing `queries ×
+/// candidates` scores and re-reading them (at 32×100k that round trip is
+/// ~75 MB of memory traffic per batch). Identical to scoring each query
+/// alone: per-row scores are the same kernel dot, [`TopK`] is feed-order
+/// independent, and the guard is charged `block rows × queries` units
+/// before each block, so a firing guard stops every query in the chunk at
+/// one block boundary and no ranking mixes scored and unscored rows.
+fn batch_chunk<T: ScoreElem>(
+    kk: usize,
+    means: &[T],
+    resolved: &[(WorkerId, usize)],
+    xs: &[Vec<T>],
+    k: usize,
+    guard: &impl WorkGuard,
+) -> Vec<PartialRanking> {
+    let mut heaps: Vec<TopK> = xs.iter().map(|_| TopK::new(k)).collect();
+    let mut scratch = [0.0f64; GEMV_BLOCK_ROWS];
+    let mut done = 0usize;
+    for block in resolved.chunks(GEMV_BLOCK_ROWS) {
+        if !guard.consume(block.len() as u64 * xs.len().max(1) as u64) {
+            break;
+        }
+        for (x, heap) in xs.iter().zip(heaps.iter_mut()) {
+            for (slot, &(_, r)) in scratch.iter_mut().zip(block) {
+                *slot = T::dot(&means[r * kk..(r + 1) * kk], x);
+            }
+            for (&(w, _), &s) in block.iter().zip(&scratch) {
+                heap.push(w, s);
+            }
+        }
+        done += block.len();
+    }
+    heaps
+        .into_iter()
+        .map(|h| PartialRanking {
+            ranked: h.finish(),
+            complete: done == resolved.len(),
+            scanned: done,
+        })
+        .collect()
+}
+
 /// How a pooled chunk job scores one row. Carries `Arc` handles to the dense
 /// blocks plus an owned copy of the query vector, so a job is fully `'static`
 /// and the pool never borrows the matrix.
@@ -181,8 +260,13 @@ impl RowScorer {
 #[derive(Debug, Clone, Default)]
 pub struct SkillMatrix {
     k: usize,
+    /// Worker id by row.
     ids: Vec<WorkerId>,
-    index: HashMap<WorkerId, usize>,
+    /// Row by worker id: `rows[w.index()]` is `w`'s row, [`NO_ROW`] when
+    /// `w` has none. Worker ids are dense store indexes (0, 1, 2, …), so
+    /// this costs 4 B × (largest id + 1) and every lookup is one array
+    /// read.
+    rows: Vec<u32>,
     /// Row-major `W × K` posterior means (`λ_w`).
     means: Arc<Vec<f64>>,
     /// Row-major `W × K` posterior diagonal variances (`ν_w²`).
@@ -195,14 +279,7 @@ pub struct SkillMatrix {
 impl SkillMatrix {
     /// An empty matrix over `k` latent categories.
     pub fn new(k: usize) -> Self {
-        SkillMatrix {
-            k,
-            ids: Vec::new(),
-            index: HashMap::new(),
-            means: Arc::new(Vec::new()),
-            vars: Arc::new(Vec::new()),
-            means_f32: Arc::new(Vec::new()),
-        }
+        SkillMatrix::with_capacity(k, 0)
     }
 
     /// An empty matrix with room for `workers` rows.
@@ -210,7 +287,7 @@ impl SkillMatrix {
         SkillMatrix {
             k,
             ids: Vec::with_capacity(workers),
-            index: HashMap::with_capacity(workers),
+            rows: Vec::with_capacity(workers),
             means: Arc::new(Vec::with_capacity(workers * k)),
             vars: Arc::new(Vec::with_capacity(workers * k)),
             means_f32: Arc::new(Vec::with_capacity(workers * k)),
@@ -234,7 +311,10 @@ impl SkillMatrix {
 
     /// Row index of a worker, if present.
     pub fn row_of(&self, worker: WorkerId) -> Option<usize> {
-        self.index.get(&worker).copied()
+        match self.rows.get(worker.index()) {
+            Some(&row) if row != NO_ROW => Some(row as usize),
+            _ => None,
+        }
     }
 
     /// The mean row of a worker.
@@ -267,11 +347,12 @@ impl SkillMatrix {
     pub fn upsert(&mut self, worker: WorkerId, mean: &[f64], var: &[f64]) {
         assert_eq!(mean.len(), self.k, "SkillMatrix::upsert mean length");
         assert_eq!(var.len(), self.k, "SkillMatrix::upsert var length");
+        let existing = self.row_of(worker);
         let means = Arc::make_mut(&mut self.means);
         let vars = Arc::make_mut(&mut self.vars);
         let means_f32 = Arc::make_mut(&mut self.means_f32);
-        match self.index.get(&worker) {
-            Some(&row) => {
+        match existing {
+            Some(row) => {
                 means[row * self.k..(row + 1) * self.k].copy_from_slice(mean);
                 vars[row * self.k..(row + 1) * self.k].copy_from_slice(var);
                 for (slot, &m) in means_f32[row * self.k..(row + 1) * self.k]
@@ -282,7 +363,11 @@ impl SkillMatrix {
                 }
             }
             None => {
-                self.index.insert(worker, self.ids.len());
+                let slot = worker.index();
+                if slot >= self.rows.len() {
+                    self.rows.resize(slot + 1, NO_ROW);
+                }
+                self.rows[slot] = row_number(self.ids.len());
                 self.ids.push(worker);
                 means.extend_from_slice(mean);
                 vars.extend_from_slice(var);
@@ -291,24 +376,19 @@ impl SkillMatrix {
         }
     }
 
-    /// Resolves candidate ids to `(worker, row)` pairs, dropping workers the
-    /// matrix does not know — the one hash walk of a selection query, paid
-    /// once per batch by the batched paths.
+    /// Resolves candidate ids to `(worker, row)` pairs in input order,
+    /// dropping workers the matrix does not know: one read of the dense id
+    /// → row index per candidate, paid once per batch by the batched paths.
     pub fn resolve(&self, candidates: impl IntoIterator<Item = WorkerId>) -> ResolvedCandidates {
-        candidates
-            .into_iter()
-            .filter_map(|w| self.row_of(w).map(|row| (w, row)))
-            .collect()
+        let candidates = candidates.into_iter();
+        let mut resolved = Vec::with_capacity(candidates.size_hint().0);
+        resolved.extend(candidates.filter_map(|w| self.row_of(w).map(|row| (w, row))));
+        resolved
     }
 
     /// Every worker row, in row order.
     pub fn resolve_all(&self) -> ResolvedCandidates {
-        self.ids
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(r, w)| (w, r))
-            .collect()
+        self.resolve(self.ids.iter().copied())
     }
 
     /// Top-`k` by posterior-mean score `λ_w · lambda` over resolved
@@ -442,8 +522,8 @@ impl SkillMatrix {
     /// Batched mean-score top-`k`: one ranking per query in `lambdas`, all
     /// against the same resolved candidate set.
     ///
-    /// The candidate resolution (the hash walk) is paid once for the whole
-    /// batch, and scoring runs through the cache-blocked batch kernel
+    /// The candidate resolution is paid once for the whole batch, and
+    /// scoring runs through the cache-blocked batch kernel
     /// ([`kernels::gemv_gathered_batch`]): each block of gathered skill rows
     /// is streamed through the cache once for *all* queries. Query chunks
     /// run on the persistent [`ScoringPool`]. Per-query results are
@@ -490,85 +570,8 @@ impl SkillMatrix {
     where
         G: WorkGuard + Clone + Send + 'static,
     {
-        // Fused block driver: scores one [`GEMV_BLOCK_ROWS`] block into an
-        // L1-resident scratch and feeds each query's [`TopK`] heap
-        // immediately, instead of materializing `queries × candidates`
-        // scores and re-reading them (at 32×100k that round trip is ~75 MB
-        // of memory traffic per batch). Identical to the unfused kernel
-        // path: per-row scores are the same [`kernels::dot`], [`TopK`] is
-        // feed-order independent, and the guard sees the same
-        // `block rows × queries` charge at the same block boundaries.
-        fn batch_chunk(
-            kk: usize,
-            means: &[f64],
-            rows: &[usize],
-            resolved: &[(WorkerId, usize)],
-            xs: &[&[f64]],
-            k: usize,
-            guard: &impl WorkGuard,
-        ) -> Vec<PartialRanking> {
-            let mut heaps: Vec<TopK> = xs.iter().map(|_| TopK::new(k)).collect();
-            let mut scratch = [0.0f64; GEMV_BLOCK_ROWS];
-            let mut done = 0usize;
-            for (block, block_resolved) in rows
-                .chunks(GEMV_BLOCK_ROWS)
-                .zip(resolved.chunks(GEMV_BLOCK_ROWS))
-            {
-                if !guard.consume(block.len() as u64 * xs.len().max(1) as u64) {
-                    break;
-                }
-                for (x, heap) in xs.iter().zip(heaps.iter_mut()) {
-                    for (slot, &r) in scratch.iter_mut().zip(block) {
-                        *slot = kernels::dot(&means[r * kk..(r + 1) * kk], x);
-                    }
-                    for (&(w, _), &s) in block_resolved.iter().zip(&scratch) {
-                        heap.push(w, s);
-                    }
-                }
-                done += block.len();
-            }
-            heaps
-                .into_iter()
-                .map(|h| PartialRanking {
-                    ranked: h.finish(),
-                    complete: done == rows.len(),
-                    scanned: done,
-                })
-                .collect()
-        }
-
-        let rows: Vec<usize> = resolved.iter().map(|&(_, row)| row).collect();
-        let q = lambdas.len();
-        let threads = threads.max(1).min(q.max(1));
-        if threads <= 1 || q <= 1 {
-            return batch_chunk(self.k, &self.means, &rows, resolved, lambdas, k, guard);
-        }
-
-        // Pooled: each job owns its query-chunk copies and Arc handles to
-        // the shared row data; chunk results concatenate in input order.
-        let rows = Arc::new(rows);
-        let resolved_arc: Arc<Vec<(WorkerId, usize)>> = Arc::new(resolved.to_vec());
-        let chunk = q.div_ceil(threads);
-        let jobs: Vec<_> = lambdas
-            .chunks(chunk)
-            .map(|queries| {
-                let queries: Vec<Vec<f64>> = queries.iter().map(|x| x.to_vec()).collect();
-                let means = Arc::clone(&self.means);
-                let rows = Arc::clone(&rows);
-                let resolved = Arc::clone(&resolved_arc);
-                let guard = G::clone(guard);
-                let kk = self.k;
-                move || {
-                    let xs: Vec<&[f64]> = queries.iter().map(|x| x.as_slice()).collect();
-                    batch_chunk(kk, &means, &rows, &resolved, &xs, k, &guard)
-                }
-            })
-            .collect();
-        ScoringPool::global()
-            .run(jobs)
-            .into_iter()
-            .flatten()
-            .collect()
+        let queries = lambdas.iter().map(|x| x.to_vec()).collect();
+        self.select_batch_rows(&self.means, queries, resolved, k, threads, guard)
     }
 
     /// Batched f32 mean-score top-`k` — the batch form of
@@ -601,79 +604,47 @@ impl SkillMatrix {
     where
         G: WorkGuard + Clone + Send + 'static,
     {
-        // f32 mirror of the fused `batch_chunk` driver in
-        // [`SkillMatrix::select_mean_batch_guarded`]: same blocking, same
-        // guard charges, scores via [`kernels::dot_f32`] widened to f64
-        // only at the heap boundary (exactly where the unfused path
-        // widened them).
-        fn batch_chunk_f32(
-            kk: usize,
-            means: &[f32],
-            rows: &[usize],
-            resolved: &[(WorkerId, usize)],
-            xs: &[&[f32]],
-            k: usize,
-            guard: &impl WorkGuard,
-        ) -> Vec<PartialRanking> {
-            let mut heaps: Vec<TopK> = xs.iter().map(|_| TopK::new(k)).collect();
-            let mut scratch = [0.0f32; GEMV_BLOCK_ROWS];
-            let mut done = 0usize;
-            for (block, block_resolved) in rows
-                .chunks(GEMV_BLOCK_ROWS)
-                .zip(resolved.chunks(GEMV_BLOCK_ROWS))
-            {
-                if !guard.consume(block.len() as u64 * xs.len().max(1) as u64) {
-                    break;
-                }
-                for (x, heap) in xs.iter().zip(heaps.iter_mut()) {
-                    for (slot, &r) in scratch.iter_mut().zip(block) {
-                        *slot = kernels::dot_f32(&means[r * kk..(r + 1) * kk], x);
-                    }
-                    for (&(w, _), &s) in block_resolved.iter().zip(&scratch) {
-                        heap.push(w, f64::from(s));
-                    }
-                }
-                done += block.len();
-            }
-            heaps
-                .into_iter()
-                .map(|h| PartialRanking {
-                    ranked: h.finish(),
-                    complete: done == rows.len(),
-                    scanned: done,
-                })
-                .collect()
-        }
-
         // One rounding of the query batch to f32, shared by every chunk.
-        let lambdas_f32: Vec<Vec<f32>> = lambdas
+        let queries = lambdas
             .iter()
             .map(|x| x.iter().map(|&v| v as f32).collect())
             .collect();
-        let rows: Vec<usize> = resolved.iter().map(|&(_, row)| row).collect();
-        let q = lambdas.len();
+        self.select_batch_rows(&self.means_f32, queries, resolved, k, threads, guard)
+    }
+
+    /// Shared batch path over a dense mean block (`means` or its f32
+    /// mirror): splits the queries into at most `threads` chunks, scores one
+    /// chunk inline or several on the persistent [`ScoringPool`], and
+    /// concatenates the per-query results in input order. Pooled jobs own
+    /// their query-chunk copies and `Arc` handles to the shared row data.
+    fn select_batch_rows<T, G>(
+        &self,
+        means: &Arc<Vec<T>>,
+        queries: Vec<Vec<T>>,
+        resolved: &[(WorkerId, usize)],
+        k: usize,
+        threads: usize,
+        guard: &G,
+    ) -> Vec<PartialRanking>
+    where
+        T: ScoreElem,
+        G: WorkGuard + Clone + Send + 'static,
+    {
+        let q = queries.len();
         let threads = threads.max(1).min(q.max(1));
         if threads <= 1 || q <= 1 {
-            let xs: Vec<&[f32]> = lambdas_f32.iter().map(|x| x.as_slice()).collect();
-            return batch_chunk_f32(self.k, &self.means_f32, &rows, resolved, &xs, k, guard);
+            return batch_chunk(self.k, means, resolved, &queries, k, guard);
         }
-
-        let rows = Arc::new(rows);
-        let resolved_arc: Arc<Vec<(WorkerId, usize)>> = Arc::new(resolved.to_vec());
-        let chunk = q.div_ceil(threads);
-        let jobs: Vec<_> = lambdas_f32
-            .chunks(chunk)
-            .map(|queries| {
-                let queries: Vec<Vec<f32>> = queries.to_vec();
-                let means = Arc::clone(&self.means_f32);
-                let rows = Arc::clone(&rows);
-                let resolved = Arc::clone(&resolved_arc);
+        let resolved: Arc<Vec<(WorkerId, usize)>> = Arc::new(resolved.to_vec());
+        let jobs: Vec<_> = queries
+            .chunks(q.div_ceil(threads))
+            .map(|chunk| {
+                let chunk = chunk.to_vec();
+                let means = Arc::clone(means);
+                let resolved = Arc::clone(&resolved);
                 let guard = G::clone(guard);
                 let kk = self.k;
-                move || {
-                    let xs: Vec<&[f32]> = queries.iter().map(|x| x.as_slice()).collect();
-                    batch_chunk_f32(kk, &means, &rows, &resolved, &xs, k, &guard)
-                }
+                move || batch_chunk(kk, &means, &resolved, &chunk, k, &guard)
             })
             .collect();
         ScoringPool::global()

@@ -204,20 +204,17 @@ impl Validate for TdpmModel {
         self.params()
             .validate()
             .map_err(|e| format!("params: {e}"))?;
-        self.skill_matrix()
+        let matrix = self.skill_matrix();
+        matrix
             .validate()
             .map_err(|e| format!("skill matrix: {e}"))?;
-        for &w in self.worker_ids() {
+        for (row, &w) in matrix.ids().iter().enumerate() {
             let skill = self
                 .skill(w)
                 .ok_or_else(|| format!("worker {w:?} listed but has no skill entry"))?;
             skill.validate().map_err(|e| format!("skill[{w:?}]: {e}"))?;
-            let row = self
-                .skill_matrix()
-                .row_of(w)
-                .ok_or_else(|| format!("worker {w:?} missing from the serving snapshot"))?;
-            if self.skill_matrix().mean_row(row) != skill.mean.as_slice()
-                || self.skill_matrix().var_row(row) != skill.variance.as_slice()
+            if matrix.mean_row(row) != skill.mean.as_slice()
+                || matrix.var_row(row) != skill.variance.as_slice()
             {
                 return Err(format!(
                     "serving snapshot out of lockstep with skill posterior for {w:?}"

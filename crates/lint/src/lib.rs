@@ -48,6 +48,11 @@ use std::path::{Path, PathBuf};
 
 /// Directory names never descended into (build output, VCS, vendored
 /// stubs, lint fixtures — fixtures contain *deliberate* violations).
+///
+/// `perfbench` is the end-to-end benchmark: a cargo package of its own
+/// (an empty `[workspace]` table) that drives the engine through its public
+/// API from outside the workspace, so the workspace's serve-path rules do
+/// not describe it.
 const SKIP_DIRS: &[&str] = &[
     "target",
     ".git",
@@ -55,6 +60,7 @@ const SKIP_DIRS: &[&str] = &[
     "fixtures",
     "related",
     "results",
+    "perfbench",
 ];
 
 /// A parsed suppression pragma.
@@ -518,6 +524,19 @@ mod tests {
     }
 
     // ---- file walking ---------------------------------------------------
+
+    #[test]
+    fn collect_files_skips_the_benchmark_package() {
+        let root = std::env::temp_dir().join(format!("crowd-lint-walk-{}", std::process::id()));
+        for dir in ["crates/core/src", "perfbench/src"] {
+            std::fs::create_dir_all(root.join(dir)).unwrap();
+        }
+        std::fs::write(root.join("crates/core/src/lib.rs"), "fn f() {}\n").unwrap();
+        std::fs::write(root.join("perfbench/src/main.rs"), "fn main() {}\n").unwrap();
+        let files = collect_files(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(files.unwrap(), vec!["crates/core/src/lib.rs".to_string()]);
+    }
 
     #[test]
     fn integration_test_files_are_exempt() {

@@ -9,7 +9,7 @@
 
 use crowd_obs::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: u64 = 20_000;
@@ -96,14 +96,19 @@ fn concurrent_histograms_account_for_every_observation() {
 fn snapshots_during_stampede_are_consistent() {
     let registry = Arc::new(Registry::new());
     let stop = Arc::new(AtomicBool::new(false));
+    // Writers and the reader meet here once every writer has registered its
+    // metrics, so the first snapshot already holds the `stampede` component.
+    let registered = Arc::new(Barrier::new(THREADS + 1));
 
     let writers: Vec<_> = (0..THREADS)
         .map(|t| {
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
+            let registered = Arc::clone(&registered);
             std::thread::spawn(move || {
                 let c = registry.counter("stampede", "events");
                 let g = registry.gauge("stampede", &format!("level_{t}"));
+                registered.wait();
                 let mut n = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     c.inc();
@@ -117,6 +122,7 @@ fn snapshots_during_stampede_are_consistent() {
 
     // Reader thread: counters must be monotone across snapshots taken while
     // writers are running, and every snapshot must serialize cleanly.
+    registered.wait();
     let mut last = 0u64;
     for _ in 0..50 {
         let snap = registry.snapshot();

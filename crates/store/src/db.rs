@@ -35,6 +35,9 @@ pub struct CrowdDb {
     by_task: Vec<Vec<u32>>,
     /// worker index → indexes into `entries`.
     by_worker: Vec<Vec<u32>>,
+    /// worker index → how many of its entries carry a score, so the
+    /// `WHERE GROUP >= n` filter reads one number per worker.
+    scored_by_worker: Vec<u32>,
     /// `(worker, task)` → index into `entries`.
     pair_index: HashMap<(WorkerId, TaskId), u32>,
     /// Answer bags per `(worker, task)` — used to derive Jaccard feedback.
@@ -73,6 +76,7 @@ impl CrowdDb {
             joined_at: self.clock,
         });
         self.by_worker.push(Vec::new());
+        self.scored_by_worker.push(0);
         id
     }
 
@@ -169,7 +173,11 @@ impl CrowdDb {
         }
         let idx = self.require_assigned(worker, task)?;
         self.clock += 1;
-        self.entries[idx as usize].score = Some(score);
+        // Only an unscored → scored transition adds to the count: an
+        // overwrite replaces a score the count already holds.
+        if self.entries[idx as usize].score.replace(score).is_none() {
+            self.scored_by_worker[worker.index()] += 1;
+        }
         Ok(())
     }
 
@@ -250,16 +258,12 @@ impl CrowdDb {
             })
     }
 
-    /// Number of *resolved* tasks this worker has participated in.
+    /// Number of *resolved* tasks this worker has participated in: O(1),
+    /// read from a count `record_feedback` keeps.
     pub fn worker_task_count(&self, worker: WorkerId) -> usize {
-        self.by_worker
+        self.scored_by_worker
             .get(worker.index())
-            .map(|v| {
-                v.iter()
-                    .filter(|&&i| self.entries[i as usize].is_resolved())
-                    .count()
-            })
-            .unwrap_or(0)
+            .map_or(0, |&n| n as usize)
     }
 
     /// All worker ids, in insertion order.
@@ -383,6 +387,7 @@ impl CrowdDb {
     ) -> Self {
         let mut by_task = vec![Vec::new(); tasks.len()];
         let mut by_worker = vec![Vec::new(); workers.len()];
+        let mut scored_by_worker = vec![0u32; workers.len()];
         let mut pair_index = HashMap::with_capacity(entries.len());
         let mut postings: Vec<Vec<TaskId>> = vec![Vec::new(); vocab.len()];
         for (t, rec) in tasks.iter().enumerate() {
@@ -398,6 +403,9 @@ impl CrowdDb {
             by_task[e.task.index()].push(dense_id(i));
             by_worker[e.worker.index()].push(dense_id(i));
             pair_index.insert((e.worker, e.task), dense_id(i));
+            if e.is_resolved() {
+                scored_by_worker[e.worker.index()] += 1;
+            }
         }
         CrowdDb {
             vocab,
@@ -406,6 +414,7 @@ impl CrowdDb {
             entries,
             by_task,
             by_worker,
+            scored_by_worker,
             pair_index,
             answers,
             postings,

@@ -26,6 +26,28 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Like [`arb_ops`] over a tiny id space with feedback drawn twice as
+/// often, so pairs are scored and then re-scored.
+fn arb_scoring_ops() -> impl Strategy<Value = Vec<Op>> {
+    let feedback = || (0u32..4, 0u32..4, 0.0f64..10.0).prop_map(|(w, t, s)| Op::Feedback(w, t, s));
+    prop::collection::vec(
+        prop_oneof![
+            Just(Op::AddWorker),
+            Just(Op::AddTask),
+            (0u32..4, 0u32..4).prop_map(|(w, t)| Op::Assign(w, t)),
+            feedback(),
+            feedback(),
+        ],
+        0..80,
+    )
+}
+
+/// `worker_task_count` as it was first written: walk the worker's entries
+/// and count the scored ones.
+fn scored_entries(db: &CrowdDb, w: WorkerId) -> usize {
+    db.tasks_of(w).filter(|&(_, s)| s.is_some()).count()
+}
+
 /// Writes a valid WAL for the op sequence at a fresh temp path.
 fn build_wal(ops: &[Op]) -> std::path::PathBuf {
     static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -249,6 +271,40 @@ proptest! {
         prop_assert_eq!(db2.num_assignments(), db.num_assignments());
 
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// `worker_task_count` reads a count `record_feedback` keeps; it equals
+    /// the entry walk after any mix of assignments, first scores and score
+    /// overwrites — live, after WAL recovery and after a snapshot round
+    /// trip.
+    #[test]
+    fn worker_task_count_matches_an_entry_walk(ops in arb_scoring_ops()) {
+        let path = build_wal(&ops);
+        let (recovered, report) = recover(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        prop_assert!(report.is_clean());
+        let mut live = CrowdDb::new();
+        for op in ops {
+            match op {
+                Op::AddWorker => { live.add_worker("w"); }
+                Op::AddTask => { live.add_task("alpha beta gamma delta"); }
+                Op::Assign(w, t) => { let _ = live.assign(WorkerId(w), TaskId(t)); }
+                Op::Feedback(w, t, s) => {
+                    let _ = live.record_feedback(WorkerId(w), TaskId(t), s);
+                }
+            }
+        }
+        let snap = crowd_store::snapshot::Snapshot::capture(&live);
+        let restored = crowd_store::snapshot::Snapshot::from_json(&snap.to_json().unwrap())
+            .unwrap()
+            .restore();
+        for db in [&live, &recovered, &restored] {
+            prop_assert_eq!(db.num_workers(), live.num_workers());
+            for w in db.worker_ids() {
+                prop_assert_eq!(db.worker_task_count(w), scored_entries(db, w));
+                prop_assert_eq!(db.worker_task_count(w), scored_entries(&live, w));
+            }
+        }
     }
 
     /// Worker groups are nested: group(n+1) ⊆ group(n), and coverage is
