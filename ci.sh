@@ -33,6 +33,12 @@ for pack in lexical det wait meta; do
 done
 
 run cargo build --release
+
+# Tests must not write into the worktree: snapshot its state here and
+# compare after the seed loops below, so a test that writes a tracked (or
+# unignored) file fails the gate instead of needing a follow-up commit.
+tree_before=$(git status --porcelain)
+
 run cargo test -q --workspace --no-fail-fast
 
 # Plan snapshots: every statement form must lower to exactly the committed
@@ -54,8 +60,8 @@ done
 
 # Query-layer chaos matrix: seeded fault injection + a mixed
 # deadline/cancel/budget/admission schedule must stay typed, accounted and
-# bit-identical where nothing fired (see tests/chaos.rs; report lands in
-# results/CHAOS_7.json).
+# bit-identical where nothing fired (see tests/chaos.rs; each seed's report
+# lands in target/tmp/chaos_<seed>.json).
 for seed in 17 42 99; do
     run env CHAOS_SEED="$seed" cargo test -q -p crowdselect --test chaos
 done
@@ -67,6 +73,13 @@ done
 for seed in 17 42 99; do
     run env POOL_CHAOS_SEED="$seed" cargo test -q -p crowdselect --test pool_chaos
 done
+
+echo "==> worktree unchanged by the test steps"
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+    echo "the test steps changed the worktree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 # End-to-end benchmark output check: a short select_wide run (100k-worker
 # roster) exits 1 if any SELECT differs bit for bit from the

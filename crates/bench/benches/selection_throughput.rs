@@ -3,8 +3,9 @@
 //!
 //! Sweeps candidate-pool sizes {1k, 10k, 100k} × thread counts {1, 2, 4, 8}
 //! for the chunk-parallel mean path (t > 1 runs on the persistent scoring
-//! pool), plus the blocked batch kernel (B = 32 queries sharing one pool)
-//! and the opt-in f32 serving mirror (single-query and batched).
+//! pool), plus 32-query batches sharing one pool and the opt-in f32 serving
+//! mirror (single-query and batched) — every dense cell one
+//! `TdpmModel::select` call.
 //! `select_top_k_serial` — one row lookup and one scattered `Vector::dot`
 //! per candidate — is the preserved baseline every dense path is measured
 //! (and bit-compared, in the property tests) against. The machine-readable
@@ -13,6 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_bench::{synthetic_projections, synthetic_serving_model};
+use crowd_core::{Precision, ScoreSpec};
 use crowd_store::WorkerId;
 use std::hint::black_box;
 
@@ -23,7 +25,13 @@ const BATCH: usize = 32;
 fn selection_throughput(c: &mut Criterion) {
     let model = synthetic_serving_model(100_000, K, 404);
     let projections = synthetic_projections(BATCH, K, 405);
-    let query = &projections[0];
+    let one = [projections[0].lambda.as_slice()];
+    let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
+    let spec = |precision, threads| ScoreSpec {
+        precision,
+        threads,
+        ..ScoreSpec::default()
+    };
 
     for n in [1_000usize, 10_000, 100_000] {
         let candidates: Vec<WorkerId> = (0..n as u32).map(WorkerId).collect();
@@ -32,7 +40,11 @@ fn selection_throughput(c: &mut Criterion) {
 
         group.bench_function("serial", |b| {
             b.iter(|| {
-                black_box(model.select_top_k_serial(query, candidates.iter().copied(), TOP_K))
+                black_box(model.select_top_k_serial(
+                    &projections[0],
+                    candidates.iter().copied(),
+                    TOP_K,
+                ))
             })
         });
         for threads in [1usize, 2, 4, 8] {
@@ -40,32 +52,22 @@ fn selection_throughput(c: &mut Criterion) {
                 BenchmarkId::new("dense", threads),
                 &threads,
                 |b, &threads| {
-                    b.iter(|| {
-                        black_box(model.select_top_k_with_threads(
-                            query,
-                            candidates.iter().copied(),
-                            TOP_K,
-                            threads,
-                        ))
-                    })
+                    let spec = spec(Precision::F64, Some(threads));
+                    b.iter(|| black_box(model.select(&one, &candidates, TOP_K, &spec)))
                 },
             );
         }
         group.bench_function("f32_t1", |b| {
-            b.iter(|| {
-                black_box(model.select_top_k_f32_with_threads(
-                    query,
-                    candidates.iter().copied(),
-                    TOP_K,
-                    1,
-                ))
-            })
+            let spec = spec(Precision::F32, Some(1));
+            b.iter(|| black_box(model.select(&one, &candidates, TOP_K, &spec)))
         });
         group.bench_function("batched_b32", |b| {
-            b.iter(|| black_box(model.select_top_k_batch(&projections, &candidates, TOP_K)))
+            let spec = spec(Precision::F64, None);
+            b.iter(|| black_box(model.select(&lambdas, &candidates, TOP_K, &spec)))
         });
         group.bench_function("batched_f32_b32", |b| {
-            b.iter(|| black_box(model.select_top_k_f32_batch(&projections, &candidates, TOP_K)))
+            let spec = spec(Precision::F32, None);
+            b.iter(|| black_box(model.select(&lambdas, &candidates, TOP_K, &spec)))
         });
         group.finish();
     }

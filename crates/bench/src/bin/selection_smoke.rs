@@ -9,12 +9,13 @@
 //!   one dense-index row lookup plus one scattered `Vector::dot` per
 //!   candidate, through the per-worker skill records.
 //! - `dense_t1/t2/t4/t8` — the contiguous `SkillMatrix` walk at 1–8
-//!   threads (`select_top_k_with_threads`); t>1 runs on the persistent
-//!   scoring pool (`crowd_math::ScoringPool`), not per-call spawns.
+//!   threads (`TdpmModel::select` with `ScoreSpec::threads`); t>1 runs on
+//!   the persistent scoring pool (`crowd_math::ScoringPool`), not per-call
+//!   spawns.
 //! - `f32_t1` — the reduced-precision serving mirror at one thread.
-//! - `batched_b32` / `batched_f32_b32` — 32 queries sharing one pool
-//!   through the blocked batch kernels; the pool is resolved once and its
-//!   cost amortized across the batch.
+//! - `batched_b32` / `batched_f32_b32` — 32 queries sharing one pool in one
+//!   `TdpmModel::select` call at the model's configured fan-out; the pool
+//!   is resolved once and its cost amortized across the batch.
 //!
 //! **Measurement.** Every path is timed as the *minimum* over several
 //! interleaved rounds (min-statistic, paired): the minimum is the least
@@ -38,7 +39,7 @@
 //!    fix, and this bound keeps it fixed).
 
 use crowd_bench::{synthetic_projections, synthetic_serving_model};
-use crowd_core::{TaskProjection, TdpmModel};
+use crowd_core::{Precision, ScoreSpec, TaskProjection, TdpmModel};
 use crowd_math::ScoringPool;
 use crowd_store::WorkerId;
 use std::fmt::Write as _;
@@ -59,8 +60,8 @@ const GATE_MIN_SPEEDUP: f64 = 5.0;
 /// Single-core hosts: max allowed `dense_t8 / dense_t1` at 100k candidates.
 const GATE_SINGLE_CORE_SLACK_100K: f64 = 1.05;
 /// Single-core hosts: max allowed `dense_t8 / dense_t1` at 1k candidates
-/// (small pools stay inline below the parallel cutoff, so this bounds the
-/// policy check itself, not pool dispatch).
+/// (small pools stay inline below the `MIN_POOL_CHUNK_ROWS` floor, so this
+/// bounds the floor check itself, not pool dispatch).
 const GATE_SINGLE_CORE_SLACK_1K: f64 = 1.10;
 /// Interleaved measurement rounds; the reported figure is the per-path min.
 const ROUNDS: usize = 7;
@@ -142,26 +143,33 @@ fn measure(model: &TdpmModel, projections: &[TaskProjection], n: usize) -> Cell 
     let mut serial = || {
         black_box(model.select_top_k_serial(query, candidates.iter().copied(), TOP_K));
     };
+    let one = [query.lambda.as_slice()];
+    let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
+    let spec = |precision, threads| ScoreSpec {
+        precision,
+        threads,
+        ..ScoreSpec::default()
+    };
     let mut dense_t1 = || {
-        black_box(model.select_top_k_with_threads(query, candidates.iter().copied(), TOP_K, 1));
+        black_box(model.select(&one, &candidates, TOP_K, &spec(Precision::F64, Some(1))));
     };
     let mut dense_t2 = || {
-        black_box(model.select_top_k_with_threads(query, candidates.iter().copied(), TOP_K, 2));
+        black_box(model.select(&one, &candidates, TOP_K, &spec(Precision::F64, Some(2))));
     };
     let mut dense_t4 = || {
-        black_box(model.select_top_k_with_threads(query, candidates.iter().copied(), TOP_K, 4));
+        black_box(model.select(&one, &candidates, TOP_K, &spec(Precision::F64, Some(4))));
     };
     let mut dense_t8 = || {
-        black_box(model.select_top_k_with_threads(query, candidates.iter().copied(), TOP_K, 8));
+        black_box(model.select(&one, &candidates, TOP_K, &spec(Precision::F64, Some(8))));
     };
     let mut f32_t1 = || {
-        black_box(model.select_top_k_f32_with_threads(query, candidates.iter().copied(), TOP_K, 1));
+        black_box(model.select(&one, &candidates, TOP_K, &spec(Precision::F32, Some(1))));
     };
     let mut batched = || {
-        black_box(model.select_top_k_batch(projections, &candidates, TOP_K));
+        black_box(model.select(&lambdas, &candidates, TOP_K, &spec(Precision::F64, None)));
     };
     let mut batched_f32 = || {
-        black_box(model.select_top_k_f32_batch(projections, &candidates, TOP_K));
+        black_box(model.select(&lambdas, &candidates, TOP_K, &spec(Precision::F32, None)));
     };
 
     let mut paths: Vec<(&'static str, &mut dyn FnMut())> = vec![

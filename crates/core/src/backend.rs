@@ -13,7 +13,8 @@
 
 use crate::config::TdpmConfig;
 use crate::dataset::TrainingSet;
-use crate::model::TdpmModel;
+use crate::model::{TaskProjection, TdpmModel};
+use crate::skillmatrix::ScoreSpec;
 use crate::trainer::TdpmTrainer;
 use crowd_select::{
     BatchQuery, CrowdSelector, FitDiagnostics, FitOptions, FitOutcome, RankedWorker, SelectError,
@@ -21,6 +22,26 @@ use crowd_select::{
 };
 use crowd_store::{CrowdDb, ShardedDb, TaskId, WorkerId};
 use crowd_text::BagOfWords;
+use std::borrow::Cow;
+
+/// Every candidate the model knows, ranked by posterior-mean score.
+fn rank_every(
+    model: &TdpmModel,
+    projection: &TaskProjection,
+    candidates: &[WorkerId],
+) -> Vec<RankedWorker> {
+    let spec = ScoreSpec::default();
+    model
+        .select(
+            &[projection.lambda.as_slice()],
+            candidates,
+            candidates.len(),
+            &spec,
+        )
+        .pop()
+        .map(|p| p.ranked)
+        .unwrap_or_default()
+}
 
 impl CrowdSelector for TdpmModel {
     fn name(&self) -> &'static str {
@@ -29,7 +50,7 @@ impl CrowdSelector for TdpmModel {
 
     fn rank(&self, task: &BagOfWords, candidates: &[WorkerId]) -> Vec<RankedWorker> {
         let projection = self.project_bow(task);
-        self.rank_all(&projection, candidates.iter().copied())
+        rank_every(self, &projection, candidates)
     }
 
     fn rank_trained(
@@ -39,13 +60,31 @@ impl CrowdSelector for TdpmModel {
         candidates: &[WorkerId],
     ) -> Vec<RankedWorker> {
         match self.trained_projection(task) {
-            Some(projection) => self.rank_all(projection, candidates.iter().copied()),
+            Some(projection) => rank_every(self, projection, candidates),
             None => CrowdSelector::rank(self, bow, candidates),
         }
     }
 
+    /// Runs of consecutive queries sharing the *same* candidate slice — the
+    /// common shape for pipeline dispatch and query-engine sweeps — go
+    /// through one [`TdpmModel::select`] call, which resolves their pool
+    /// once. Queries for trained tasks use the feedback-informed posterior,
+    /// exactly like [`CrowdSelector::rank_trained`].
     fn select_batch(&self, queries: &[BatchQuery<'_>], k: usize) -> Vec<Vec<RankedWorker>> {
-        self.select_batch_queries(queries, k)
+        let mut out: Vec<Vec<RankedWorker>> = Vec::with_capacity(queries.len());
+        for group in crowd_select::shared_candidate_runs(queries) {
+            let projections: Vec<Cow<'_, TaskProjection>> = group
+                .iter()
+                .map(|q| match q.task.and_then(|t| self.trained_projection(t)) {
+                    Some(p) => Cow::Borrowed(p),
+                    None => Cow::Owned(self.project_bow(q.bow)),
+                })
+                .collect();
+            let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
+            let ranked = self.select(&lambdas, group[0].candidates, k, &ScoreSpec::default());
+            out.extend(ranked.into_iter().map(|p| p.ranked));
+        }
+        out
     }
 
     fn add_worker(&mut self, worker: WorkerId) {
@@ -140,7 +179,7 @@ impl CrowdSelector for TdpmSelector {
     }
 
     fn select_batch(&self, queries: &[BatchQuery<'_>], k: usize) -> Vec<Vec<RankedWorker>> {
-        self.model.select_batch_queries(queries, k)
+        self.model.select_batch(queries, k)
     }
 
     fn add_worker(&mut self, worker: WorkerId) {

@@ -20,7 +20,7 @@
 //! # Quick start
 //!
 //! ```
-//! use crowd_core::{TdpmConfig, TdpmTrainer};
+//! use crowd_core::{ScoreSpec, TdpmConfig, TdpmTrainer};
 //! use crowd_store::CrowdDb;
 //!
 //! let mut db = CrowdDb::new();
@@ -37,8 +37,10 @@
 //! let model = TdpmTrainer::new(config).fit(&db).unwrap();
 //!
 //! let projection = model.project_bow(&db.task(t).unwrap().bow);
-//! let ranked = model.select_top_k(&projection, db.worker_ids(), 1);
-//! assert_eq!(ranked.len(), 1);
+//! let candidates: Vec<_> = db.worker_ids().collect();
+//! let lambdas = [projection.lambda.as_slice()];
+//! let ranked = model.select(&lambdas, &candidates, 1, &ScoreSpec::default());
+//! assert_eq!(ranked[0].ranked.len(), 1);
 //! ```
 
 pub mod backend;
@@ -66,7 +68,7 @@ pub use model::{Precision, TaskProjection, TdpmModel};
 pub use params::ModelParams;
 pub use persist::ModelSnapshot;
 pub use selection::RankedWorker;
-pub use skillmatrix::{PartialRanking, SkillMatrix, MIN_POOL_CHUNK_ROWS};
+pub use skillmatrix::{PartialRanking, ScoreSpec, SkillMatrix, MIN_POOL_CHUNK_ROWS};
 pub use trainer::{FitReport, TdpmTrainer};
 
 /// Convenience result alias.

@@ -5,33 +5,19 @@ use crate::inference::estep::{update_task, TaskFeedbackStats, TaskPosterior, Tas
 use crate::inference::EStepContext;
 use crate::params::ModelParams;
 use crate::selection::{top_k, RankedWorker};
-use crate::skillmatrix::SkillMatrix;
+use crate::skillmatrix::{PartialRanking, ScoreSpec, SkillMatrix};
 use crate::{CoreError, Result};
-use crowd_math::{Cholesky, Matrix, Vector};
-use crowd_select::BatchQuery;
+use crowd_math::{Cholesky, Matrix, Vector, WorkGuard};
 use crowd_store::{TaskId, WorkerId};
 use crowd_text::BagOfWords;
 use rand::{Rng, RngExt};
 use std::collections::HashMap;
 
-/// Candidate pools below this size are served on the calling thread.
-///
-/// Dispatching to the persistent scoring pool costs a queue push + condvar
-/// wake per chunk (~1 µs) — far below the scoped-thread spawns this cutoff
-/// was originally tuned against at 4096 — but an inline walk of a couple
-/// thousand contiguous rows still finishes inside that dispatch latency, so
-/// the chunked-parallel path only kicks in once the walk itself dominates.
-/// Pool reuse halves the old cutoff; going lower buys nothing because a
-/// sub-2048 walk is ~2 µs of streaming dot products. The
-/// `pool_policy` regression suite pins that selections below this size
-/// never enqueue pool work.
-const PARALLEL_MIN_CANDIDATES: usize = 2048;
-
 /// Floating-point width of the dense serving path.
 ///
 /// `F64` is the default and the bit-identity oracle; `F32` is the opt-in
-/// reduced-precision mirror ([`TdpmModel::select_top_k_f32`] and friends)
-/// with the accuracy contract of DESIGN.md §10c. Only the TDPM dense
+/// reduced-precision mirror (a [`crate::ScoreSpec`] field) with the
+/// accuracy contract of DESIGN.md §10c. Only the TDPM dense
 /// kernels have an f32 mirror — baseline backends always serve in f64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
@@ -320,16 +306,6 @@ impl TdpmModel {
         &self.matrix
     }
 
-    /// Threads to use for a selection walk over `n` candidates: the
-    /// configured pool for big walks, the calling thread otherwise.
-    fn serving_threads(&self, n: usize) -> usize {
-        if n >= PARALLEL_MIN_CANDIDATES {
-            self.config.num_threads.max(1)
-        } else {
-            1
-        }
-    }
-
     // ---- Algorithm 3: incremental crowd-selection ---------------------------
 
     /// Projects a bag of words onto the latent space (Alg. 3 lines 1–5;
@@ -394,156 +370,34 @@ impl TdpmModel {
             .map(|s| crowd_math::kernels::dot(s.mean.as_slice(), projection.lambda.as_slice()))
     }
 
-    /// Top-k crowd-selection over `candidates` (Eq. 1; Alg. 3 line 7).
+    /// Top-k crowd-selection (Eq. 1; Alg. 3 line 7): one
+    /// [`PartialRanking`] per projected query in `lambdas`, each over the
+    /// same `candidates` (a single query is a batch of one).
     ///
-    /// Candidates unknown to the model are skipped. Served from the dense
-    /// [`SkillMatrix`]; large pools are chunk-parallelized over the
-    /// configured thread count. Bit-identical to
-    /// [`TdpmModel::select_top_k_serial`].
-    pub fn select_top_k(
+    /// Candidates unknown to the model are skipped; the rest are resolved
+    /// once for the whole batch and scored from the dense [`SkillMatrix`]
+    /// under `spec` ([`SkillMatrix::select`]). `spec.threads == None` uses
+    /// the configured `num_threads`; pools below
+    /// [`crate::MIN_POOL_CHUNK_ROWS`] run inline at any thread count. f64
+    /// results are bit-identical to [`TdpmModel::select_top_k_serial`]; a
+    /// never-firing guard is bit-identical to the unguarded call.
+    pub fn select<G>(
         &self,
-        projection: &TaskProjection,
-        candidates: impl IntoIterator<Item = WorkerId>,
-        k: usize,
-    ) -> Vec<RankedWorker> {
-        let resolved = self.matrix.resolve(candidates);
-        let threads = self.serving_threads(resolved.len());
-        self.matrix
-            .select_mean(projection.lambda.as_slice(), &resolved, k, threads)
-    }
-
-    /// [`TdpmModel::select_top_k`] with an explicit thread count (clamped to
-    /// the candidate count; `1` forces the single-threaded dense walk).
-    pub fn select_top_k_with_threads(
-        &self,
-        projection: &TaskProjection,
-        candidates: impl IntoIterator<Item = WorkerId>,
-        k: usize,
-        threads: usize,
-    ) -> Vec<RankedWorker> {
-        let resolved = self.matrix.resolve(candidates);
-        self.matrix
-            .select_mean(projection.lambda.as_slice(), &resolved, k, threads)
-    }
-
-    /// [`TdpmModel::select_top_k`] under a [`crowd_math::WorkGuard`]: the
-    /// guard is polled at every scoring-chunk boundary (see
-    /// [`crate::SkillMatrix::select_mean_guarded`]) so a query-layer
-    /// deadline, cancellation or row budget can stop the scan cleanly. A
-    /// never-firing guard returns a `complete` ranking bit-identical to
-    /// [`TdpmModel::select_top_k`] on the same inputs.
-    pub fn select_top_k_guarded<G: crowd_math::WorkGuard + Clone + Send + 'static>(
-        &self,
-        projection: &TaskProjection,
-        candidates: impl IntoIterator<Item = WorkerId>,
-        k: usize,
-        guard: &G,
-    ) -> crate::skillmatrix::PartialRanking {
-        let resolved = self.matrix.resolve(candidates);
-        let threads = self.serving_threads(resolved.len());
-        self.matrix
-            .select_mean_guarded(projection.lambda.as_slice(), &resolved, k, threads, guard)
-    }
-
-    /// [`TdpmModel::select_top_k_batch`] under a [`crowd_math::WorkGuard`]:
-    /// the batched kernel polls the guard per cache block (see
-    /// [`crate::SkillMatrix::select_mean_batch_guarded`]). Never-firing
-    /// guards return `complete` rankings bit-identical to
-    /// [`TdpmModel::select_top_k_batch`].
-    pub fn select_top_k_batch_guarded<G: crowd_math::WorkGuard + Clone + Send + 'static>(
-        &self,
-        projections: &[TaskProjection],
+        lambdas: &[&[f64]],
         candidates: &[WorkerId],
         k: usize,
-        guard: &G,
-    ) -> Vec<crate::skillmatrix::PartialRanking> {
+        spec: &ScoreSpec<G>,
+    ) -> Vec<PartialRanking>
+    where
+        G: WorkGuard + Clone + Send + 'static,
+    {
         let resolved = self.matrix.resolve(candidates.iter().copied());
-        let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
-        let threads = self.serving_threads(resolved.len());
-        self.matrix
-            .select_mean_batch_guarded(&lambdas, &resolved, k, threads, guard)
-    }
-
-    /// [`TdpmModel::select_top_k`] through the f32 serving mirror — the
-    /// opt-in reduced-precision path (`EXPLAIN` shows `precision=f32`).
-    /// Deterministic but not bit-identical to f64; accuracy contract in
-    /// DESIGN.md §10c, pinned by the `f32_serving_oracle` suite.
-    pub fn select_top_k_f32(
-        &self,
-        projection: &TaskProjection,
-        candidates: impl IntoIterator<Item = WorkerId>,
-        k: usize,
-    ) -> Vec<RankedWorker> {
-        let resolved = self.matrix.resolve(candidates);
-        let threads = self.serving_threads(resolved.len());
-        self.matrix
-            .select_mean_f32(projection.lambda.as_slice(), &resolved, k, threads)
-    }
-
-    /// [`TdpmModel::select_top_k_f32`] with an explicit thread count — the
-    /// f32 twin of [`TdpmModel::select_top_k_with_threads`], used by the
-    /// thread-scaling bench and oracle suites.
-    pub fn select_top_k_f32_with_threads(
-        &self,
-        projection: &TaskProjection,
-        candidates: impl IntoIterator<Item = WorkerId>,
-        k: usize,
-        threads: usize,
-    ) -> Vec<RankedWorker> {
-        let resolved = self.matrix.resolve(candidates);
-        self.matrix
-            .select_mean_f32(projection.lambda.as_slice(), &resolved, k, threads)
-    }
-
-    /// [`TdpmModel::select_top_k_f32`] under a [`crowd_math::WorkGuard`] —
-    /// same checkpoint cadence and partial-prefix semantics as
-    /// [`TdpmModel::select_top_k_guarded`].
-    pub fn select_top_k_f32_guarded<G: crowd_math::WorkGuard + Clone + Send + 'static>(
-        &self,
-        projection: &TaskProjection,
-        candidates: impl IntoIterator<Item = WorkerId>,
-        k: usize,
-        guard: &G,
-    ) -> crate::skillmatrix::PartialRanking {
-        let resolved = self.matrix.resolve(candidates);
-        let threads = self.serving_threads(resolved.len());
-        self.matrix.select_mean_f32_guarded(
-            projection.lambda.as_slice(),
-            &resolved,
-            k,
-            threads,
-            guard,
-        )
-    }
-
-    /// Batched form of [`TdpmModel::select_top_k_f32`].
-    pub fn select_top_k_f32_batch(
-        &self,
-        projections: &[TaskProjection],
-        candidates: &[WorkerId],
-        k: usize,
-    ) -> Vec<Vec<RankedWorker>> {
-        let resolved = self.matrix.resolve(candidates.iter().copied());
-        let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
-        let threads = self.serving_threads(resolved.len());
-        self.matrix
-            .select_mean_f32_batch(&lambdas, &resolved, k, threads)
-    }
-
-    /// [`TdpmModel::select_top_k_f32_batch`] under a
-    /// [`crowd_math::WorkGuard`], block-boundary semantics as the f64 batch.
-    pub fn select_top_k_f32_batch_guarded<G: crowd_math::WorkGuard + Clone + Send + 'static>(
-        &self,
-        projections: &[TaskProjection],
-        candidates: &[WorkerId],
-        k: usize,
-        guard: &G,
-    ) -> Vec<crate::skillmatrix::PartialRanking> {
-        let resolved = self.matrix.resolve(candidates.iter().copied());
-        let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
-        let threads = self.serving_threads(resolved.len());
-        self.matrix
-            .select_mean_f32_batch_guarded(&lambdas, &resolved, k, threads, guard)
+        let spec = ScoreSpec {
+            threads: spec.threads.or(Some(self.config.num_threads)),
+            guard: spec.guard.clone(),
+            ..*spec
+        };
+        self.matrix.select(lambdas, &resolved, k, &spec)
     }
 
     /// Reference top-k selection through the per-worker skill records (one
@@ -560,62 +414,6 @@ impl TdpmModel {
             .into_iter()
             .filter_map(|w| self.score(w, projection).map(|s| (w, s)));
         top_k(scored, k)
-    }
-
-    /// Batched top-k selection: one ranking per projection, all over the
-    /// same candidate pool. Resolves the pool against the [`SkillMatrix`]
-    /// once and scores through the cache-blocked batch kernel, so the per-
-    /// query cost is a contiguous matrix walk instead of scattered dots.
-    /// Each returned ranking is bit-identical to
-    /// [`TdpmModel::select_top_k`] on the same projection.
-    pub fn select_top_k_batch(
-        &self,
-        projections: &[TaskProjection],
-        candidates: &[WorkerId],
-        k: usize,
-    ) -> Vec<Vec<RankedWorker>> {
-        let resolved = self.matrix.resolve(candidates.iter().copied());
-        let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
-        let threads = self.serving_threads(resolved.len());
-        self.matrix
-            .select_mean_batch(&lambdas, &resolved, k, threads)
-    }
-
-    /// Answers a batch of independent selection queries (possibly with
-    /// per-query candidate pools), the engine behind the
-    /// [`crowd_select::CrowdSelector::select_batch`] override.
-    ///
-    /// Runs of consecutive queries sharing the *same* candidate slice — the
-    /// common shape for pipeline dispatch and query-engine sweeps — resolve
-    /// their pool once and go through the blocked batch kernel; singleton
-    /// queries take the per-query dense path. Queries for trained tasks use
-    /// the feedback-informed posterior, exactly like
-    /// [`crowd_select::CrowdSelector::rank_trained`].
-    pub fn select_batch_queries(
-        &self,
-        queries: &[BatchQuery<'_>],
-        k: usize,
-    ) -> Vec<Vec<RankedWorker>> {
-        let mut out: Vec<Vec<RankedWorker>> = Vec::with_capacity(queries.len());
-        for group in crowd_select::shared_candidate_runs(queries) {
-            let projections: Vec<TaskProjection> = group
-                .iter()
-                .map(|q| match q.task.and_then(|t| self.trained_projection(t)) {
-                    Some(p) => p.clone(),
-                    None => self.project_bow(q.bow),
-                })
-                .collect();
-            if group.len() == 1 {
-                out.push(self.select_top_k(
-                    &projections[0],
-                    group[0].candidates.iter().copied(),
-                    k,
-                ));
-            } else {
-                out.extend(self.select_top_k_batch(&projections, group[0].candidates, k));
-            }
-        }
-        out
     }
 
     /// Optimistic (UCB-style) top-k selection: candidates are scored by
@@ -636,13 +434,12 @@ impl TdpmModel {
         exploration: f64,
     ) -> Vec<RankedWorker> {
         let resolved = self.matrix.resolve(candidates);
-        let threads = self.serving_threads(resolved.len());
         self.matrix.select_optimistic(
             projection.lambda.as_slice(),
             &resolved,
             k,
             exploration,
-            threads,
+            self.config.num_threads,
         )
     }
 
@@ -671,7 +468,7 @@ impl TdpmModel {
 
     /// Top-k selection with the category *sampled* from its posterior
     /// (Algorithm 3 verbatim, line 6). Deterministic selection via
-    /// [`TdpmModel::select_top_k`] uses the posterior mean instead.
+    /// [`TdpmModel::select`] uses the posterior mean instead.
     pub fn select_top_k_sampled(
         &self,
         projection: &TaskProjection,
@@ -680,22 +477,11 @@ impl TdpmModel {
         rng: &mut impl Rng,
     ) -> Vec<RankedWorker> {
         let c = projection.sample(rng);
-        let resolved = self.matrix.resolve(candidates);
-        let threads = self.serving_threads(resolved.len());
-        self.matrix.select_mean(c.as_slice(), &resolved, k, threads)
-    }
-
-    /// Scores every candidate (full ranking), descending.
-    pub fn rank_all(
-        &self,
-        projection: &TaskProjection,
-        candidates: impl IntoIterator<Item = WorkerId>,
-    ) -> Vec<RankedWorker> {
-        let resolved = self.matrix.resolve(candidates);
-        let n = resolved.len();
-        let threads = self.serving_threads(n);
-        self.matrix
-            .select_mean(projection.lambda.as_slice(), &resolved, n, threads)
+        let candidates: Vec<WorkerId> = candidates.into_iter().collect();
+        self.select(&[c.as_slice()], &candidates, k, &ScoreSpec::default())
+            .pop()
+            .map(|p| p.ranked)
+            .unwrap_or_default()
     }
 
     // ---- Incremental skill update -------------------------------------------
@@ -819,6 +605,19 @@ impl TdpmModel {
 mod tests {
     use super::*;
 
+    /// Posterior-mean top-k of one projection.
+    fn top_k_of(
+        model: &TdpmModel,
+        p: &TaskProjection,
+        candidates: &[WorkerId],
+        k: usize,
+    ) -> Vec<RankedWorker> {
+        model
+            .select(&[p.lambda.as_slice()], candidates, k, &ScoreSpec::default())
+            .remove(0)
+            .ranked
+    }
+
     /// A hand-assembled 2-category model: worker 0 is the "CS" expert,
     /// worker 1 the "Math" expert; term 0 is a CS word, term 1 a Math word.
     fn hand_model() -> TdpmModel {
@@ -863,10 +662,10 @@ mod tests {
     fn selection_picks_matching_expert() {
         let model = hand_model();
         let cs_task = model.project_words(&[(0, 5)]);
-        let top = model.select_top_k(&cs_task, vec![WorkerId(0), WorkerId(1)], 1);
+        let top = top_k_of(&model, &cs_task, &[WorkerId(0), WorkerId(1)], 1);
         assert_eq!(top[0].worker, WorkerId(0), "CS task → CS expert");
         let math_task = model.project_words(&[(1, 5)]);
-        let top = model.select_top_k(&math_task, vec![WorkerId(0), WorkerId(1)], 1);
+        let top = top_k_of(&model, &math_task, &[WorkerId(0), WorkerId(1)], 1);
         assert_eq!(top[0].worker, WorkerId(1));
     }
 
@@ -874,7 +673,7 @@ mod tests {
     fn unknown_candidates_are_skipped() {
         let model = hand_model();
         let p = model.project_words(&[(0, 1)]);
-        let top = model.select_top_k(&p, vec![WorkerId(7), WorkerId(0)], 5);
+        let top = top_k_of(&model, &p, &[WorkerId(7), WorkerId(0)], 5);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].worker, WorkerId(0));
         assert_eq!(model.score(WorkerId(7), &p), None);
@@ -968,7 +767,7 @@ mod tests {
             model.record_feedback(WorkerId(0), &proj, 4.0).unwrap();
         }
 
-        let greedy = model.select_top_k(&p, candidates.clone(), 1);
+        let greedy = top_k_of(&model, &p, &candidates, 1);
         assert_eq!(greedy[0].worker, WorkerId(0), "greedy exploits the expert");
 
         let explore = model.select_top_k_optimistic(&p, candidates.clone(), 1, 50.0);
@@ -1007,10 +806,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_all_orders_descending() {
+    fn full_ranking_orders_descending() {
         let model = hand_model();
         let p = model.project_words(&[(0, 5)]);
-        let ranked = model.rank_all(&p, vec![WorkerId(0), WorkerId(1)]);
+        let ranked = top_k_of(&model, &p, &[WorkerId(0), WorkerId(1)], 2);
         assert_eq!(ranked.len(), 2);
         assert!(ranked[0].score >= ranked[1].score);
     }

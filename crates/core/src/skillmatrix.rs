@@ -21,25 +21,29 @@
 //! whenever no selection is holding a handle — i.e. always, since selection
 //! completes before returning.
 //!
-//! Every f64 scoring path here is **bit-identical** to the serial reference
-//! implementation (`TdpmModel::select_top_k_serial`):
+//! Every selection — one query or a batch, f64 or f32, guarded or not, at
+//! any thread count — runs through one driver ([`SkillMatrix::select`],
+//! parameterised by a [`ScoreSpec`]; the UCB scorer of
+//! [`SkillMatrix::select_optimistic`] plugs into the same driver). Every
+//! f64 result is **bit-identical** to the serial reference implementation
+//! (`TdpmModel::select_top_k_serial`):
 //!
 //! - per-row scores use [`crowd_math::kernels`], whose fixed 4-lane
-//!   accumulation order is shared by the serial scorer and every dense
-//!   kernel;
+//!   accumulation order is shared by the serial scorer and the driver;
 //! - the chunked-parallel path splits *candidates* into disjoint contiguous
-//!   chunks (never a single dot product), feeds the existing [`top_k`]
-//!   min-heap per chunk, and merges the per-chunk winners with one more
+//!   chunks (never a single dot product), feeds one [`TopK`] per query per
+//!   chunk, and merges each query's per-chunk winners with one more
 //!   [`top_k`]. Because [`top_k`] ranks under a *total* order (score
 //!   descending via `total_cmp`, ties to the smaller id, NaN skipped), the
 //!   global top-k is contained in the union of per-chunk top-ks and the merge
 //!   reproduces it exactly, independent of chunking (DESIGN.md §6d).
 //!
-//! The f32 path (`select_mean_f32*`) is deterministic but **not**
+//! The f32 path ([`Precision::F32`]) is deterministic but **not**
 //! bit-identical to f64: its contract is rank agreement modulo ties inside
 //! f32 rounding plus a bounded relative score error, pinned by the
 //! `f32_serving_oracle` property suite (DESIGN.md §10c).
 
+use crate::model::Precision;
 use crate::selection::{top_k, RankedWorker, TopK};
 use crowd_math::guard::{Unchecked, WorkGuard, CHECKPOINT_ROWS};
 use crowd_math::kernels::{self, GEMV_BLOCK_ROWS};
@@ -70,82 +74,61 @@ fn row_number(n: usize) -> u32 {
 ///
 /// Pool dispatch (enqueue, wake, merge) costs on the order of the time it
 /// takes to stream ~2k dot products, so splits finer than this lose to the
-/// inline scan even with idle workers — the same break-even that sets
-/// `PARALLEL_MIN_CANDIDATES` in the model-layer spawn policy, re-tuned for
-/// pool hand-off instead of `crossbeam` scope spawn. Must stay a
+/// inline scan even with idle workers. Every thread count goes through this
+/// floor, so pools below it always run inline. Must stay a
 /// [`GEMV_BLOCK_ROWS`] multiple so the floor never mis-aligns chunk starts.
 pub const MIN_POOL_CHUNK_ROWS: usize = 2048;
 
+/// How a selection call scores: precision, fan-out and work guard, carried
+/// as data instead of as method names.
+///
+/// [`ScoreSpec::default`] is f64, default fan-out, never-firing guard.
+#[derive(Debug, Clone, Copy)]
+pub struct ScoreSpec<G = Unchecked> {
+    /// f64 means (the bit-identity oracle) or their f32 mirror.
+    pub precision: Precision,
+    /// Target candidate-chunk fan-out on the [`ScoringPool`]. `None` is one
+    /// inline walk in [`SkillMatrix::select`] and the configured
+    /// `num_threads` in [`crate::TdpmModel::select`]. Chunks never go below
+    /// [`MIN_POOL_CHUNK_ROWS`] rows, so results are bit-identical for every
+    /// value.
+    pub threads: Option<usize>,
+    /// Charged `rows × queries` before every [`CHECKPOINT_ROWS`] rows of
+    /// each chunk; a refusal stops that chunk there.
+    pub guard: G,
+}
+
+impl Default for ScoreSpec {
+    fn default() -> Self {
+        ScoreSpec {
+            precision: Precision::F64,
+            threads: None,
+            guard: Unchecked,
+        }
+    }
+}
+
 /// A ranking that may have been stopped early by a [`WorkGuard`].
 ///
-/// `ranked` is a correct top-k of the `scanned`-candidate prefix that was
+/// `ranked` is a correct top-k of the `scanned` candidates that were
 /// actually scored — never a corrupt mixture — and `complete` records
-/// whether the guard let the scan finish. Guarded selection returning
-/// `complete == true` is bit-identical to the unguarded path on the same
-/// inputs (same loop, no-op guard).
+/// whether the guard let the scan finish. A never-firing guard returns
+/// `complete == true` and the same bits as [`Unchecked`] (same loop).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialRanking {
-    /// Top-k of the scanned candidate prefix.
+    /// Top-k of the scanned candidates.
     pub ranked: Vec<RankedWorker>,
     /// `true` when every candidate was scored before the guard fired.
     pub complete: bool,
-    /// How many resolved candidates were scored (summed across chunks).
+    /// How many resolved candidates were scored (summed across chunks; the
+    /// same for every query of one call).
     pub scanned: usize,
-}
-
-/// One guarded pass over a contiguous candidate run: the checkpoint chunking
-/// only gates admission — element order and the single [`top_k`] feed are
-/// exactly the unchunked iteration, so a never-firing guard is bit-identical
-/// to the historical path. Shared verbatim by the inline path and the pooled
-/// chunk jobs, which is what makes them bit-identical to each other.
-fn guarded_scan_rows<G, F>(
-    run: &[(WorkerId, usize)],
-    k: usize,
-    guard: &G,
-    score: F,
-) -> (Vec<RankedWorker>, usize)
-where
-    G: WorkGuard,
-    F: Fn(usize) -> f64,
-{
-    let mut scanned = 0usize;
-    let ranked = top_k(
-        run.chunks(CHECKPOINT_ROWS)
-            .take_while(|c| {
-                let admit = guard.consume(c.len() as u64);
-                if admit {
-                    scanned += c.len();
-                }
-                admit
-            })
-            .flatten()
-            .map(|&(w, row)| (w, score(row))),
-        k,
-    );
-    (ranked, scanned)
-}
-
-/// Merges per-chunk `(winners, scanned)` partials into one ranking with a
-/// final [`top_k`] over the chunk winners.
-fn merge_partials(partials: Vec<(Vec<RankedWorker>, usize)>, n: usize, k: usize) -> PartialRanking {
-    let scanned: usize = partials.iter().map(|&(_, s)| s).sum();
-    PartialRanking {
-        ranked: top_k(
-            partials
-                .into_iter()
-                .flat_map(|(rws, _)| rws)
-                .map(|rw| (rw.worker, rw.score)),
-            k,
-        ),
-        complete: scanned == n,
-        scanned,
-    }
 }
 
 /// Element type of a dense mean block: `f64` means or their `f32` mirror,
 /// scored with the fixed-order kernel for that width and widened (exactly)
 /// to f64 for ranking.
-trait ScoreElem: Clone + Send + Sync + 'static {
+trait ScoreElem: Sized + Send + Sync + 'static {
     fn dot(row: &[Self], x: &[Self]) -> f64;
 }
 
@@ -163,97 +146,173 @@ impl ScoreElem for f32 {
     }
 }
 
-/// Fused block scorer for one chunk of batched queries: scores one
-/// [`GEMV_BLOCK_ROWS`] block into an L1-resident scratch and feeds each
-/// query's [`TopK`] heap immediately, instead of materializing `queries ×
-/// candidates` scores and re-reading them (at 32×100k that round trip is
-/// ~75 MB of memory traffic per batch). Identical to scoring each query
-/// alone: per-row scores are the same kernel dot, [`TopK`] is feed-order
-/// independent, and the guard is charged `block rows × queries` units
-/// before each block, so a firing guard stops every query in the chunk at
-/// one block boundary and no ranking mixes scored and unscored rows.
-fn batch_chunk<T: ScoreElem>(
-    kk: usize,
-    means: &[T],
-    resolved: &[(WorkerId, usize)],
-    xs: &[Vec<T>],
+/// Scores matrix rows against the queries of one selection call. A scorer
+/// owns `Arc` handles to the dense blocks it reads plus its query vectors,
+/// so pooled chunk jobs share it through an `Arc` and never borrow the
+/// matrix.
+trait Scorer: Send + Sync + 'static {
+    /// Element type of the query vectors.
+    type Elem;
+    /// The query vectors, in input order.
+    fn queries(&self) -> &[Vec<Self::Elem>];
+    /// Score of matrix row `row` against `x`, in f64 for ranking.
+    fn score(&self, row: usize, x: &[Self::Elem]) -> f64;
+}
+
+/// Posterior-mean score `λ_w · x` over the f64 means or their f32 mirror.
+struct MeanScorer<T> {
+    k: usize,
+    means: Arc<Vec<T>>,
+    queries: Vec<Vec<T>>,
+}
+
+impl<T: ScoreElem> Scorer for MeanScorer<T> {
+    type Elem = T;
+
+    fn queries(&self) -> &[Vec<T>] {
+        &self.queries
+    }
+
+    #[inline]
+    fn score(&self, row: usize, x: &[T]) -> f64 {
+        T::dot(&self.means[row * self.k..(row + 1) * self.k], x)
+    }
+}
+
+/// Optimistic (UCB) score of one query: mean plus `beta`-scaled posterior
+/// std-dev.
+struct UcbScorer {
+    k: usize,
+    means: Arc<Vec<f64>>,
+    vars: Arc<Vec<f64>>,
+    lambda: [Vec<f64>; 1],
+    beta: f64,
+}
+
+impl Scorer for UcbScorer {
+    type Elem = f64;
+
+    fn queries(&self) -> &[Vec<f64>] {
+        &self.lambda
+    }
+
+    #[inline]
+    fn score(&self, row: usize, x: &[f64]) -> f64 {
+        let span = row * self.k..(row + 1) * self.k;
+        kernels::ucb_score(&self.means[span.clone()], &self.vars[span], x, self.beta)
+    }
+}
+
+/// One chunk's scan, shared verbatim by the inline walk and the pooled
+/// jobs: charges the guard `rows × queries` before every
+/// [`CHECKPOINT_ROWS`] rows and stops at the first refusal, then scores
+/// each [`GEMV_BLOCK_ROWS`] block into an L1-resident stack scratch per
+/// query and feeds that query's [`TopK`]. Per-row scores are one kernel call
+/// whatever the chunking, and [`TopK`] is feed-order independent, so every
+/// chunking gives the same bits; a refusal stops every query at the same
+/// row, so no ranking mixes scored and unscored rows. Returns each query's
+/// winners and the scanned row count.
+fn scan_chunk<S: Scorer>(
+    scorer: &S,
+    run: &[(WorkerId, usize)],
     k: usize,
     guard: &impl WorkGuard,
-) -> Vec<PartialRanking> {
-    let mut heaps: Vec<TopK> = xs.iter().map(|_| TopK::new(k)).collect();
+) -> (Vec<Vec<RankedWorker>>, usize) {
+    let queries = scorer.queries();
+    let mut heaps: Vec<TopK> = queries.iter().map(|_| TopK::new(k)).collect();
     let mut scratch = [0.0f64; GEMV_BLOCK_ROWS];
-    let mut done = 0usize;
-    for block in resolved.chunks(GEMV_BLOCK_ROWS) {
-        if !guard.consume(block.len() as u64 * xs.len().max(1) as u64) {
+    let mut scanned = 0usize;
+    for checkpoint in run.chunks(CHECKPOINT_ROWS) {
+        if !guard.consume(checkpoint.len() as u64 * queries.len() as u64) {
             break;
         }
-        for (x, heap) in xs.iter().zip(heaps.iter_mut()) {
-            for (slot, &(_, r)) in scratch.iter_mut().zip(block) {
-                *slot = T::dot(&means[r * kk..(r + 1) * kk], x);
-            }
-            for (&(w, _), &s) in block.iter().zip(&scratch) {
-                heap.push(w, s);
+        for block in checkpoint.chunks(GEMV_BLOCK_ROWS) {
+            for (x, heap) in queries.iter().zip(heaps.iter_mut()) {
+                for (slot, &(_, row)) in scratch.iter_mut().zip(block) {
+                    *slot = scorer.score(row, x);
+                }
+                for (&(w, _), &s) in block.iter().zip(&scratch) {
+                    heap.push(w, s);
+                }
             }
         }
-        done += block.len();
+        scanned += checkpoint.len();
     }
-    heaps
+    (heaps.into_iter().map(TopK::finish).collect(), scanned)
+}
+
+/// The selection driver: splits the candidates into at most `threads`
+/// contiguous chunks, each at least [`MIN_POOL_CHUNK_ROWS`] rows and
+/// [`GEMV_BLOCK_ROWS`]-aligned, and scans one chunk inline or several on
+/// the persistent [`ScoringPool`] (the submitting thread helps drain them).
+/// Each query's per-chunk winners merge with one more [`top_k`]. Pooled
+/// jobs carry a clone of the guard, all forwarding to the same shared
+/// state, so one firing guard stops every chunk pool-wide.
+///
+/// # Panics
+///
+/// Re-raises the panic of any pooled chunk (a panicking scorer is a bug;
+/// there is no error value to surface from a completed job).
+fn drive<S, G>(
+    scorer: S,
+    resolved: &[(WorkerId, usize)],
+    k: usize,
+    threads: usize,
+    guard: &G,
+) -> Vec<PartialRanking>
+where
+    S: Scorer,
+    G: WorkGuard + Clone + Send + 'static,
+{
+    let n = resolved.len();
+    let queries = scorer.queries().len();
+    // One thread and sub-floor splits collapse to `chunk >= n`: inline.
+    let chunk = n
+        .div_ceil(threads.max(1))
+        .max(MIN_POOL_CHUNK_ROWS)
+        .next_multiple_of(GEMV_BLOCK_ROWS);
+    let mut partials = if chunk >= n {
+        vec![scan_chunk(&scorer, resolved, k, guard)]
+    } else {
+        let scorer = Arc::new(scorer);
+        let jobs: Vec<_> = resolved
+            .chunks(chunk)
+            .map(|c| {
+                let run = c.to_vec();
+                let scorer = Arc::clone(&scorer);
+                let guard = G::clone(guard);
+                move || scan_chunk(&*scorer, &run, k, &guard)
+            })
+            .collect();
+        ScoringPool::global().run(jobs)
+    };
+    let scanned: usize = partials.iter().map(|&(_, s)| s).sum();
+    let ranked = if partials.len() == 1 {
+        partials
+            .pop()
+            .map(|(winners, _)| winners)
+            .unwrap_or_default()
+    } else {
+        (0..queries)
+            .map(|q| {
+                top_k(
+                    partials
+                        .iter()
+                        .flat_map(|(winners, _)| &winners[q])
+                        .map(|rw| (rw.worker, rw.score)),
+                    k,
+                )
+            })
+            .collect()
+    };
+    ranked
         .into_iter()
-        .map(|h| PartialRanking {
-            ranked: h.finish(),
-            complete: done == resolved.len(),
-            scanned: done,
+        .map(|ranked| PartialRanking {
+            ranked,
+            complete: scanned == n,
+            scanned,
         })
         .collect()
-}
-
-/// How a pooled chunk job scores one row. Carries `Arc` handles to the dense
-/// blocks plus an owned copy of the query vector, so a job is fully `'static`
-/// and the pool never borrows the matrix.
-#[derive(Clone)]
-enum RowScorer {
-    /// Posterior-mean score `λ_w · lambda` (the f64 oracle path).
-    Mean {
-        means: Arc<Vec<f64>>,
-        lambda: Vec<f64>,
-    },
-    /// Optimistic (UCB) score: mean plus `beta`-scaled posterior std-dev.
-    Optimistic {
-        means: Arc<Vec<f64>>,
-        vars: Arc<Vec<f64>>,
-        lambda: Vec<f64>,
-        beta: f64,
-    },
-    /// f32 mean score, widened (exactly) to f64 for ranking.
-    MeanF32 {
-        means: Arc<Vec<f32>>,
-        lambda: Vec<f32>,
-    },
-}
-
-impl RowScorer {
-    #[inline]
-    fn score(&self, k: usize, row: usize) -> f64 {
-        match self {
-            RowScorer::Mean { means, lambda } => {
-                kernels::dot(&means[row * k..(row + 1) * k], lambda)
-            }
-            RowScorer::Optimistic {
-                means,
-                vars,
-                lambda,
-                beta,
-            } => kernels::ucb_score(
-                &means[row * k..(row + 1) * k],
-                &vars[row * k..(row + 1) * k],
-                lambda,
-                *beta,
-            ),
-            RowScorer::MeanF32 { means, lambda } => {
-                f64::from(kernels::dot_f32(&means[row * k..(row + 1) * k], lambda))
-            }
-        }
-    }
 }
 
 /// Contiguous row-major `W × K` snapshot of posterior means and variances.
@@ -391,59 +450,71 @@ impl SkillMatrix {
         self.resolve(self.ids.iter().copied())
     }
 
-    /// Top-`k` by posterior-mean score `λ_w · lambda` over resolved
-    /// candidates, chunked across the persistent [`ScoringPool`] when
-    /// `threads > 1`.
+    /// Top-`k` by posterior-mean score `λ_w · x` over the resolved
+    /// candidates, one [`PartialRanking`] per query in `lambdas` (a single
+    /// query is a batch of one), under `spec`.
     ///
-    /// `threads` is the target chunk fan-out (clamped to the candidate
-    /// count); callers own the "is this pool big enough to be worth
-    /// dispatching for" policy. Results are bit-identical for every thread
-    /// count.
-    pub fn select_mean(
+    /// Every 64-row block of skill rows streams through the cache once for
+    /// all queries. [`Precision::F32`] rounds each query to f32 once up front
+    /// and scores the f32 mirror ([`kernels::dot_f32`], fixed 8-lane order)
+    /// widened exactly to f64, so ties break under the same total order as
+    /// f64. `spec.threads == None` is one inline walk. Results are
+    /// bit-identical for every thread count and to a single-query call per
+    /// query; a never-firing guard is bit-identical to [`Unchecked`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any pooled scoring chunk.
+    pub fn select<G>(
         &self,
-        lambda: &[f64],
+        lambdas: &[&[f64]],
         resolved: &[(WorkerId, usize)],
         k: usize,
-        threads: usize,
-    ) -> Vec<RankedWorker> {
-        self.select_mean_guarded(lambda, resolved, k, threads, &Unchecked)
-            .ranked
-    }
-
-    /// [`SkillMatrix::select_mean`] with a [`WorkGuard`] polled every
-    /// [`CHECKPOINT_ROWS`] candidates (per scoring chunk), charged with the
-    /// chunk's row count before the chunk is scored. A firing guard stops
-    /// the scan at the chunk boundary and the result reports the scanned
-    /// prefix; a never-firing guard is bit-identical to
-    /// [`SkillMatrix::select_mean`] (which delegates here). Pooled chunk
-    /// jobs carry a clone of the guard, all forwarding to the same shared
-    /// state, so one firing guard stops every chunk pool-wide.
-    pub fn select_mean_guarded<G>(
-        &self,
-        lambda: &[f64],
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-        guard: &G,
-    ) -> PartialRanking
+        spec: &ScoreSpec<G>,
+    ) -> Vec<PartialRanking>
     where
         G: WorkGuard + Clone + Send + 'static,
     {
-        debug_assert_eq!(lambda.len(), self.k, "SkillMatrix::select_mean lambda");
-        self.select_rows(
-            RowScorer::Mean {
-                means: Arc::clone(&self.means),
-                lambda: lambda.to_vec(),
-            },
-            resolved,
-            k,
-            threads,
-            guard,
-        )
+        debug_assert!(
+            lambdas.iter().all(|x| x.len() == self.k),
+            "SkillMatrix::select lambda length"
+        );
+        if lambdas.is_empty() {
+            return Vec::new();
+        }
+        let threads = spec.threads.unwrap_or(1);
+        match spec.precision {
+            Precision::F64 => drive(
+                MeanScorer {
+                    k: self.k,
+                    means: Arc::clone(&self.means),
+                    queries: lambdas.iter().map(|x| x.to_vec()).collect(),
+                },
+                resolved,
+                k,
+                threads,
+                &spec.guard,
+            ),
+            Precision::F32 => drive(
+                MeanScorer {
+                    k: self.k,
+                    means: Arc::clone(&self.means_f32),
+                    queries: lambdas
+                        .iter()
+                        .map(|x| x.iter().map(|&v| v as f32).collect())
+                        .collect(),
+                },
+                resolved,
+                k,
+                threads,
+                &spec.guard,
+            ),
+        }
     }
 
     /// Optimistic (UCB-style) top-`k`:
-    /// `λ_w · lambda + beta * sqrt(max(0, Σ_k ν²_w,k · lambda_k²))`.
+    /// `λ_w · lambda + beta * sqrt(max(0, Σ_k ν²_w,k · lambda_k²))`, through
+    /// the same driver as [`SkillMatrix::select`] at `threads` fan-out.
     pub fn select_optimistic(
         &self,
         lambda: &[f64],
@@ -457,259 +528,17 @@ impl SkillMatrix {
             self.k,
             "SkillMatrix::select_optimistic lambda"
         );
-        self.select_rows(
-            RowScorer::Optimistic {
-                means: Arc::clone(&self.means),
-                vars: Arc::clone(&self.vars),
-                lambda: lambda.to_vec(),
-                beta,
-            },
-            resolved,
-            k,
-            threads,
-            &Unchecked,
-        )
-        .ranked
-    }
-
-    /// Top-`k` by f32 posterior-mean score over the f32 mirror — the opt-in
-    /// reduced-precision serving path.
-    ///
-    /// The query vector is rounded to f32 once up front; scores are f32
-    /// dots ([`kernels::dot_f32`], fixed 8-lane order) widened exactly to
-    /// f64 for ranking, so ties break under the same total order as the f64
-    /// path. Deterministic, but *not* bit-identical to f64: the accuracy
-    /// contract (rank agreement modulo f32-rounding ties, bounded relative
-    /// error) is pinned by the `f32_serving_oracle` property suite.
-    pub fn select_mean_f32(
-        &self,
-        lambda: &[f64],
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-    ) -> Vec<RankedWorker> {
-        self.select_mean_f32_guarded(lambda, resolved, k, threads, &Unchecked)
-            .ranked
-    }
-
-    /// [`SkillMatrix::select_mean_f32`] with a [`WorkGuard`] — identical
-    /// checkpoint cadence and partial-prefix semantics to
-    /// [`SkillMatrix::select_mean_guarded`].
-    pub fn select_mean_f32_guarded<G>(
-        &self,
-        lambda: &[f64],
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-        guard: &G,
-    ) -> PartialRanking
-    where
-        G: WorkGuard + Clone + Send + 'static,
-    {
-        debug_assert_eq!(lambda.len(), self.k, "SkillMatrix::select_mean_f32 lambda");
-        self.select_rows(
-            RowScorer::MeanF32 {
-                means: Arc::clone(&self.means_f32),
-                lambda: lambda.iter().map(|&x| x as f32).collect(),
-            },
-            resolved,
-            k,
-            threads,
-            guard,
-        )
-    }
-
-    /// Batched mean-score top-`k`: one ranking per query in `lambdas`, all
-    /// against the same resolved candidate set.
-    ///
-    /// The candidate resolution is paid once for the whole batch, and
-    /// scoring runs through the cache-blocked batch kernel
-    /// ([`kernels::gemv_gathered_batch`]): each block of gathered skill rows
-    /// is streamed through the cache once for *all* queries. Query chunks
-    /// run on the persistent [`ScoringPool`]. Per-query results are
-    /// bit-identical to [`SkillMatrix::select_mean`] on the same inputs.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of any pooled scoring chunk (a panicking scorer
-    /// is a bug; there is no error value to surface from a completed job).
-    pub fn select_mean_batch(
-        &self,
-        lambdas: &[&[f64]],
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<RankedWorker>> {
-        self.select_mean_batch_guarded(lambdas, resolved, k, threads, &Unchecked)
-            .into_iter()
-            .map(|p| p.ranked)
-            .collect()
-    }
-
-    /// [`SkillMatrix::select_mean_batch`] with a [`WorkGuard`] polled at
-    /// every cache block of the batched kernel, charged `block rows ×
-    /// queries` units before the block streams. When the guard fires, every
-    /// query in the affected chunk is ranked over the same scanned row
-    /// prefix (the kernel stops for all of them at one block boundary), so
-    /// no ranking ever mixes scored and unscored rows. Never-firing guards
-    /// are bit-identical to [`SkillMatrix::select_mean_batch`] (which
-    /// delegates here).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of any pooled scoring chunk (a panicking scorer
-    /// is a bug; there is no error value to surface from a completed job).
-    pub fn select_mean_batch_guarded<G>(
-        &self,
-        lambdas: &[&[f64]],
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-        guard: &G,
-    ) -> Vec<PartialRanking>
-    where
-        G: WorkGuard + Clone + Send + 'static,
-    {
-        let queries = lambdas.iter().map(|x| x.to_vec()).collect();
-        self.select_batch_rows(&self.means, queries, resolved, k, threads, guard)
-    }
-
-    /// Batched f32 mean-score top-`k` — the batch form of
-    /// [`SkillMatrix::select_mean_f32`], running the f32 mirror through the
-    /// cache-blocked f32 batch kernel. Per-query results are bit-identical
-    /// to [`SkillMatrix::select_mean_f32`] on the same inputs.
-    pub fn select_mean_f32_batch(
-        &self,
-        lambdas: &[&[f64]],
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<RankedWorker>> {
-        self.select_mean_f32_batch_guarded(lambdas, resolved, k, threads, &Unchecked)
-            .into_iter()
-            .map(|p| p.ranked)
-            .collect()
-    }
-
-    /// [`SkillMatrix::select_mean_f32_batch`] with a [`WorkGuard`] — same
-    /// block-boundary semantics as [`SkillMatrix::select_mean_batch_guarded`].
-    pub fn select_mean_f32_batch_guarded<G>(
-        &self,
-        lambdas: &[&[f64]],
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-        guard: &G,
-    ) -> Vec<PartialRanking>
-    where
-        G: WorkGuard + Clone + Send + 'static,
-    {
-        // One rounding of the query batch to f32, shared by every chunk.
-        let queries = lambdas
-            .iter()
-            .map(|x| x.iter().map(|&v| v as f32).collect())
-            .collect();
-        self.select_batch_rows(&self.means_f32, queries, resolved, k, threads, guard)
-    }
-
-    /// Shared batch path over a dense mean block (`means` or its f32
-    /// mirror): splits the queries into at most `threads` chunks, scores one
-    /// chunk inline or several on the persistent [`ScoringPool`], and
-    /// concatenates the per-query results in input order. Pooled jobs own
-    /// their query-chunk copies and `Arc` handles to the shared row data.
-    fn select_batch_rows<T, G>(
-        &self,
-        means: &Arc<Vec<T>>,
-        queries: Vec<Vec<T>>,
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-        guard: &G,
-    ) -> Vec<PartialRanking>
-    where
-        T: ScoreElem,
-        G: WorkGuard + Clone + Send + 'static,
-    {
-        let q = queries.len();
-        let threads = threads.max(1).min(q.max(1));
-        if threads <= 1 || q <= 1 {
-            return batch_chunk(self.k, means, resolved, &queries, k, guard);
-        }
-        let resolved: Arc<Vec<(WorkerId, usize)>> = Arc::new(resolved.to_vec());
-        let jobs: Vec<_> = queries
-            .chunks(q.div_ceil(threads))
-            .map(|chunk| {
-                let chunk = chunk.to_vec();
-                let means = Arc::clone(means);
-                let resolved = Arc::clone(&resolved);
-                let guard = G::clone(guard);
-                let kk = self.k;
-                move || batch_chunk(kk, &means, &resolved, &chunk, k, &guard)
-            })
-            .collect();
-        ScoringPool::global()
-            .run(jobs)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Shared chunk-parallel top-k driver: scores rows with `scorer`, feeds
-    /// the bounded min-heap per contiguous candidate chunk, merges the
-    /// per-chunk winners with one more [`top_k`]. `threads <= 1` (or a
-    /// single-chunk split) runs inline on the caller without touching the
-    /// pool; otherwise candidate chunks — aligned up to
-    /// [`GEMV_BLOCK_ROWS`]-row multiples so pooled chunks start on the same
-    /// cache-block boundaries the batched kernel streams — are submitted to
-    /// the persistent [`ScoringPool`], with the submitting thread helping
-    /// drain them. The guard is polled every [`CHECKPOINT_ROWS`] candidates
-    /// inside each chunk; a stopped chunk contributes its scanned prefix
-    /// and the merged result is marked incomplete.
-    fn select_rows<G>(
-        &self,
-        scorer: RowScorer,
-        resolved: &[(WorkerId, usize)],
-        k: usize,
-        threads: usize,
-        guard: &G,
-    ) -> PartialRanking
-    where
-        G: WorkGuard + Clone + Send + 'static,
-    {
-        let kk = self.k;
-        let n = resolved.len();
-        let threads = threads.max(1).min(n.max(1));
-        let chunk = if threads > 1 {
-            // Floor at MIN_POOL_CHUNK_ROWS: callers that pass explicit thread
-            // counts (bypassing the model-layer spawn policy) must not shred a
-            // small candidate set into chunks whose pool hand-off costs more
-            // than the scan itself — sub-floor splits collapse to `chunk >= n`
-            // and take the inline path below.
-            n.div_ceil(threads)
-                .max(MIN_POOL_CHUNK_ROWS)
-                .next_multiple_of(GEMV_BLOCK_ROWS)
-        } else {
-            n.max(1)
+        let scorer = UcbScorer {
+            k: self.k,
+            means: Arc::clone(&self.means),
+            vars: Arc::clone(&self.vars),
+            lambda: [lambda.to_vec()],
+            beta,
         };
-        if threads <= 1 || chunk >= n {
-            let (ranked, scanned) =
-                guarded_scan_rows(resolved, k, guard, |row| scorer.score(kk, row));
-            return PartialRanking {
-                ranked,
-                complete: scanned == n,
-                scanned,
-            };
-        }
-        let jobs: Vec<_> = resolved
-            .chunks(chunk)
-            .map(|c| {
-                let run: Vec<(WorkerId, usize)> = c.to_vec();
-                let scorer = scorer.clone();
-                let guard = G::clone(guard);
-                move || guarded_scan_rows(&run, k, &guard, |row| scorer.score(kk, row))
-            })
-            .collect();
-        merge_partials(ScoringPool::global().run(jobs), n, k)
+        drive(scorer, resolved, k, threads, &Unchecked)
+            .pop()
+            .map(|p| p.ranked)
+            .unwrap_or_default()
     }
 }
 
@@ -727,6 +556,60 @@ mod tests {
             m.upsert(WorkerId(w), &mean, &var);
         }
         m
+    }
+
+    /// A matrix of `n` rows over two categories.
+    fn wide(n: u32) -> SkillMatrix {
+        let mut m = SkillMatrix::new(2);
+        for w in 0..n {
+            let mean = [(w as f64 * 0.713).sin(), (w as f64 * 0.291).cos()];
+            m.upsert(WorkerId(w), &mean, &[0.1, 0.1]);
+        }
+        m
+    }
+
+    fn spec(threads: usize) -> ScoreSpec {
+        ScoreSpec {
+            threads: Some(threads),
+            ..ScoreSpec::default()
+        }
+    }
+
+    fn f32_spec(threads: usize) -> ScoreSpec {
+        ScoreSpec {
+            precision: Precision::F32,
+            ..spec(threads)
+        }
+    }
+
+    fn guarded_spec<G>(threads: usize, guard: G) -> ScoreSpec<G> {
+        ScoreSpec {
+            precision: Precision::F64,
+            threads: Some(threads),
+            guard,
+        }
+    }
+
+    /// One query's ranking under `spec`.
+    fn one<G>(
+        m: &SkillMatrix,
+        lambda: &[f64],
+        resolved: &[(WorkerId, usize)],
+        k: usize,
+        spec: &ScoreSpec<G>,
+    ) -> PartialRanking
+    where
+        G: WorkGuard + Clone + Send + 'static,
+    {
+        m.select(&[lambda], resolved, k, spec).remove(0)
+    }
+
+    fn assert_bits(got: &[RankedWorker], want: &[RankedWorker], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.worker, b.worker, "{ctx}");
+            assert_eq!(a.score.to_bits(), b.score.to_bits(), "{ctx}");
+        }
     }
 
     #[test]
@@ -770,14 +653,10 @@ mod tests {
         let m = matrix();
         let resolved = m.resolve_all();
         let lambda = [0.7, -0.3, 1.1];
-        let serial = m.select_mean(&lambda, &resolved, 4, 1);
+        let serial = one(&m, &lambda, &resolved, 4, &ScoreSpec::default()).ranked;
         for threads in [2, 3, 8, 64] {
-            let par = m.select_mean(&lambda, &resolved, 4, threads);
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.worker, b.worker);
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "threads={threads}");
-            }
+            let par = one(&m, &lambda, &resolved, 4, &spec(threads)).ranked;
+            assert_bits(&par, &serial, &format!("threads={threads}"));
         }
     }
 
@@ -787,21 +666,13 @@ mod tests {
         // chunks past the MIN_POOL_CHUNK_ROWS floor, exercising the pooled
         // path (not the inline fallback): 8192 / 8 = 1024 -> floored to 2048
         // -> 4 pooled chunks; 8192 / 2 = 4096 -> 2 pooled chunks.
-        let mut m = SkillMatrix::new(2);
-        for w in 0..8192u32 {
-            let mean = [(w as f64 * 0.713).sin(), (w as f64 * 0.291).cos()];
-            m.upsert(WorkerId(w), &mean, &[0.1, 0.1]);
-        }
+        let m = wide(8192);
         let resolved = m.resolve_all();
         let lambda = [0.9, -1.7];
-        let serial = m.select_mean(&lambda, &resolved, 7, 1);
+        let serial = one(&m, &lambda, &resolved, 7, &spec(1)).ranked;
         for threads in [2, 8] {
-            let par = m.select_mean(&lambda, &resolved, 7, threads);
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.worker, b.worker);
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "threads={threads}");
-            }
+            let par = one(&m, &lambda, &resolved, 7, &spec(threads)).ranked;
+            assert_bits(&par, &serial, &format!("threads={threads}"));
         }
     }
 
@@ -811,7 +682,7 @@ mod tests {
         m.upsert(WorkerId(0), &[1.0], &[0.0]); // proven
         m.upsert(WorkerId(1), &[1.0], &[4.0]); // uncertain
         let resolved = m.resolve_all();
-        let greedy = m.select_mean(&[1.0], &resolved, 2, 1);
+        let greedy = one(&m, &[1.0], &resolved, 2, &ScoreSpec::default()).ranked;
         assert_eq!(
             greedy[0].worker,
             WorkerId(0),
@@ -837,15 +708,27 @@ mod tests {
         let q2 = [0.0, 0.0, -1.0];
         let lambdas: Vec<&[f64]> = vec![&q0, &q1, &q2];
         for threads in [1, 2, 8] {
-            let batch = m.select_mean_batch(&lambdas, &resolved, 3, threads);
+            let batch = m.select(&lambdas, &resolved, 3, &spec(threads));
             assert_eq!(batch.len(), 3);
             for (lambda, got) in lambdas.iter().zip(&batch) {
-                let want = m.select_mean(lambda, &resolved, 3, 1);
-                assert_eq!(got.len(), want.len());
-                for (a, b) in got.iter().zip(&want) {
-                    assert_eq!(a.worker, b.worker);
-                    assert_eq!(a.score.to_bits(), b.score.to_bits());
-                }
+                let want = one(&m, lambda, &resolved, 3, &spec(1)).ranked;
+                assert_bits(&got.ranked, &want, &format!("threads={threads}"));
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_batch_matches_per_query_selection() {
+        let m = wide(8192);
+        let resolved = m.resolve_all();
+        let lambdas: Vec<&[f64]> = vec![&[0.9, -1.7], &[-0.2, 0.4], &[1.0, 1.0]];
+        for threads in [2, 8] {
+            let batch = m.select(&lambdas, &resolved, 5, &spec(threads));
+            for (lambda, got) in lambdas.iter().zip(&batch) {
+                assert!(got.complete);
+                assert_eq!(got.scanned, resolved.len());
+                let want = one(&m, lambda, &resolved, 5, &spec(1)).ranked;
+                assert_bits(&got.ranked, &want, &format!("threads={threads}"));
             }
         }
     }
@@ -855,19 +738,14 @@ mod tests {
         let m = matrix();
         let resolved = m.resolve_all();
         let lambda = [0.7, -0.3, 1.1];
-        let serial = m.select_mean_f32(&lambda, &resolved, 4, 1);
+        let serial = one(&m, &lambda, &resolved, 4, &f32_spec(1)).ranked;
         assert!(!serial.is_empty());
         for threads in [2, 8] {
-            let par = m.select_mean_f32(&lambda, &resolved, 4, threads);
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.worker, b.worker);
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "threads={threads}");
-            }
-            let batch = m.select_mean_f32_batch(&[&lambda], &resolved, 4, threads);
-            for (a, b) in batch[0].iter().zip(&serial) {
-                assert_eq!(a.worker, b.worker);
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "batch t={threads}");
+            let par = one(&m, &lambda, &resolved, 4, &f32_spec(threads)).ranked;
+            assert_bits(&par, &serial, &format!("threads={threads}"));
+            let batch = m.select(&[&lambda, &lambda], &resolved, 4, &f32_spec(threads));
+            for p in &batch {
+                assert_bits(&p.ranked, &serial, &format!("batch t={threads}"));
             }
         }
     }
@@ -877,8 +755,8 @@ mod tests {
         let m = matrix();
         let resolved = m.resolve_all();
         let lambda = [0.7, -0.3, 1.1];
-        let f64_ranked = m.select_mean(&lambda, &resolved, 10, 1);
-        let f32_ranked = m.select_mean_f32(&lambda, &resolved, 10, 1);
+        let f64_ranked = one(&m, &lambda, &resolved, 10, &spec(1)).ranked;
+        let f32_ranked = one(&m, &lambda, &resolved, 10, &f32_spec(1)).ranked;
         assert_eq!(f64_ranked.len(), f32_ranked.len());
         for (a, b) in f64_ranked.iter().zip(&f32_ranked) {
             assert_eq!(a.worker, b.worker, "benign inputs: identical order");
@@ -900,17 +778,15 @@ mod tests {
         let resolved = m.resolve_all();
         let lambda = [1.0, 1.0];
         for threads in [1, 2] {
-            let mean = m.select_mean(&lambda, &resolved, 2, threads);
-            assert_eq!(mean.len(), 1);
-            assert_eq!(mean[0].worker, WorkerId(1));
+            for s in [spec(threads), f32_spec(threads)] {
+                let batch = m.select(&[&lambda, &lambda], &resolved, 2, &s);
+                for p in &batch {
+                    assert_eq!(p.ranked.len(), 1, "{:?}", s.precision);
+                    assert_eq!(p.ranked[0].worker, WorkerId(1));
+                }
+            }
             let opt = m.select_optimistic(&lambda, &resolved, 2, 0.5, threads);
             assert_eq!(opt.len(), 1);
-            let batch = m.select_mean_batch(&[&lambda], &resolved, 2, threads);
-            assert_eq!(batch[0].len(), 1);
-            let f32_mean = m.select_mean_f32(&lambda, &resolved, 2, threads);
-            assert_eq!(f32_mean.len(), 1, "f32 NaN row skipped");
-            let f32_batch = m.select_mean_f32_batch(&[&lambda], &resolved, 2, threads);
-            assert_eq!(f32_batch[0].len(), 1);
         }
     }
 
@@ -927,21 +803,27 @@ mod tests {
         }
     }
 
+    fn budget(units: u64) -> Arc<Budget> {
+        Arc::new(Budget(units.into()))
+    }
+
     #[test]
     fn never_firing_guard_is_bitwise_identical_and_complete() {
         let m = matrix();
         let resolved = m.resolve_all();
         let lambda = [0.7, -0.3, 1.1];
         for threads in [1, 2, 8] {
-            let plain = m.select_mean(&lambda, &resolved, 4, threads);
-            let guarded = m.select_mean_guarded(&lambda, &resolved, 4, threads, &Unchecked);
+            let plain = one(&m, &lambda, &resolved, 4, &spec(threads)).ranked;
+            let guarded = one(
+                &m,
+                &lambda,
+                &resolved,
+                4,
+                &guarded_spec(threads, budget(1 << 40)),
+            );
             assert!(guarded.complete);
             assert_eq!(guarded.scanned, resolved.len());
-            assert_eq!(guarded.ranked.len(), plain.len());
-            for (a, b) in guarded.ranked.iter().zip(&plain) {
-                assert_eq!(a.worker, b.worker);
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-            }
+            assert_bits(&guarded.ranked, &plain, &format!("threads={threads}"));
         }
     }
 
@@ -950,24 +832,20 @@ mod tests {
         let m = matrix();
         let resolved = m.resolve_all();
         let lambda = [1.0, 0.0, 0.0];
-        // Zero budget: nothing is scanned, the ranking is empty but sound.
-        let none = m.select_mean_guarded(&lambda, &resolved, 4, 1, &Arc::new(Budget(0.into())));
-        assert!(!none.complete);
-        assert_eq!((none.scanned, none.ranked.len()), (0, 0));
-        // The batch path stops at a block boundary for every query at once.
-        let q0: &[f64] = &lambda;
-        let batch =
-            m.select_mean_batch_guarded(&[q0, q0], &resolved, 4, 1, &Arc::new(Budget(0.into())));
-        assert_eq!(batch.len(), 2);
-        for p in &batch {
-            assert!(!p.complete);
-            assert!(p.ranked.is_empty());
+        // Zero budget: nothing is scanned, the ranking is empty but sound,
+        // for every query of a batch and at either precision.
+        for precision in [Precision::F64, Precision::F32] {
+            let s = ScoreSpec {
+                precision,
+                ..guarded_spec(1, budget(0))
+            };
+            let batch = m.select(&[&lambda, &lambda], &resolved, 4, &s);
+            assert_eq!(batch.len(), 2);
+            for p in &batch {
+                assert!(!p.complete);
+                assert_eq!((p.scanned, p.ranked.len()), (0, 0));
+            }
         }
-        // Same soundness on the f32 path.
-        let f32_none =
-            m.select_mean_f32_guarded(&lambda, &resolved, 4, 1, &Arc::new(Budget(0.into())));
-        assert!(!f32_none.complete);
-        assert_eq!((f32_none.scanned, f32_none.ranked.len()), (0, 0));
     }
 
     #[test]
@@ -980,8 +858,13 @@ mod tests {
             m.upsert(WorkerId(w), &[w as f64, 1.0], &[0.1, 0.1]);
         }
         let resolved = m.resolve_all();
-        let budget = Arc::new(Budget(2048.into()));
-        let partial = m.select_mean_guarded(&[1.0, 0.0], &resolved, 5, 8, &budget);
+        let partial = one(
+            &m,
+            &[1.0, 0.0],
+            &resolved,
+            5,
+            &guarded_spec(8, budget(2048)),
+        );
         assert!(!partial.complete);
         assert!(
             partial.scanned <= 2048,
@@ -991,36 +874,63 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_stopped_mid_scan_shares_one_prefix() {
+        let m = wide(8192);
+        let resolved = m.resolve_all();
+        let lambdas: Vec<&[f64]> = vec![&[0.9, -1.7], &[-0.2, 0.4], &[1.0, 1.0]];
+        let units = 3 * 2500;
+        // Inline: the budget admits two 1024-row checkpoints of 3 queries,
+        // and every query ranks exactly that prefix.
+        let batch = m.select(&lambdas, &resolved, 6, &guarded_spec(1, budget(units)));
+        for (lambda, p) in lambdas.iter().zip(&batch) {
+            assert!(!p.complete);
+            assert_eq!(p.scanned, 2 * CHECKPOINT_ROWS);
+            let prefix = &resolved[..p.scanned];
+            let want = one(&m, lambda, prefix, 6, &ScoreSpec::default()).ranked;
+            assert_bits(&p.ranked, &want, "inline prefix");
+        }
+        // Pooled: chunks race one budget, but all queries of a chunk stop
+        // together, so every query reports the same scanned count.
+        for threads in [2, 8] {
+            let batch = m.select(
+                &lambdas,
+                &resolved,
+                6,
+                &guarded_spec(threads, budget(units)),
+            );
+            let scanned = batch[0].scanned;
+            assert!(scanned as u64 <= units / 3, "t{threads}: {scanned}");
+            for p in &batch {
+                assert!(!p.complete);
+                assert_eq!(p.scanned, scanned, "t{threads}");
+            }
+        }
+    }
+
+    #[test]
     fn guarded_batch_with_room_is_complete_and_identical() {
         let m = matrix();
         let resolved = m.resolve_all();
         let q0 = [1.0, 0.0, 0.0];
         let q1 = [-0.4, 0.9, 0.2];
         let lambdas: Vec<&[f64]> = vec![&q0, &q1];
-        let plain = m.select_mean_batch(&lambdas, &resolved, 3, 2);
-        let guarded = m.select_mean_batch_guarded(
-            &lambdas,
-            &resolved,
-            3,
-            2,
-            &Arc::new(Budget(1_000_000.into())),
-        );
+        let plain = m.select(&lambdas, &resolved, 3, &spec(2));
+        let guarded = m.select(&lambdas, &resolved, 3, &guarded_spec(2, budget(1_000_000)));
         for (p, want) in guarded.iter().zip(&plain) {
             assert!(p.complete);
             assert_eq!(p.scanned, resolved.len());
-            for (a, b) in p.ranked.iter().zip(want) {
-                assert_eq!(a.worker, b.worker);
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-            }
+            assert_bits(&p.ranked, &want.ranked, "guarded batch");
         }
     }
 
     #[test]
     fn empty_candidates_yield_empty_rankings() {
         let m = matrix();
-        assert!(m.select_mean(&[0.0; 3], &[], 5, 4).is_empty());
-        let batch = m.select_mean_batch(&[&[0.0; 3]], &[], 5, 4);
-        assert_eq!(batch, vec![Vec::new()]);
-        assert!(m.select_mean_f32(&[0.0; 3], &[], 5, 4).is_empty());
+        for s in [spec(4), f32_spec(4)] {
+            let batch = m.select(&[&[0.0; 3]], &[], 5, &s);
+            assert_eq!(batch.len(), 1);
+            assert!(batch[0].complete && batch[0].ranked.is_empty());
+        }
+        assert!(m.select(&[], &m.resolve_all(), 5, &spec(4)).is_empty());
     }
 }

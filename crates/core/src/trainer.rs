@@ -645,6 +645,7 @@ impl TdpmTrainer {
 mod tests {
     use super::*;
     use crate::dataset::TaskData;
+    use crate::ScoreSpec;
     use crowd_store::{TaskId, WorkerId};
 
     /// Two clearly separated "topics" (terms 0–1 vs terms 2–3) with two
@@ -716,10 +717,22 @@ mod tests {
         // Project a pure topic-A task and a pure topic-B task.
         let pa = model.project_words(&[(0, 4), (1, 4)]);
         let pb = model.project_words(&[(2, 4), (3, 4)]);
-        let a_top = model.select_top_k(&pa, vec![WorkerId(0), WorkerId(1)], 1);
-        let b_top = model.select_top_k(&pb, vec![WorkerId(0), WorkerId(1)], 1);
-        assert_eq!(a_top[0].worker, WorkerId(0), "w0 is the topic-A expert");
-        assert_eq!(b_top[0].worker, WorkerId(1), "w1 is the topic-B expert");
+        let tops = model.select(
+            &[pa.lambda.as_slice(), pb.lambda.as_slice()],
+            &[WorkerId(0), WorkerId(1)],
+            1,
+            &ScoreSpec::default(),
+        );
+        assert_eq!(
+            tops[0].ranked[0].worker,
+            WorkerId(0),
+            "w0 is the topic-A expert"
+        );
+        assert_eq!(
+            tops[1].ranked[0].worker,
+            WorkerId(1),
+            "w1 is the topic-B expert"
+        );
     }
 
     #[test]
@@ -759,8 +772,17 @@ mod tests {
         }
         let model = TdpmTrainer::new(quick_config(2)).fit(&db).unwrap();
         let proj = model.project_bow(&db.task(tasks[0]).unwrap().bow);
-        let top = model.select_top_k(&proj, db.worker_ids(), 1);
-        assert_eq!(top[0].worker, w0, "database task routes to the DBA");
+        let candidates: Vec<WorkerId> = db.worker_ids().collect();
+        let top = model.select(
+            &[proj.lambda.as_slice()],
+            &candidates,
+            1,
+            &ScoreSpec::default(),
+        );
+        assert_eq!(
+            top[0].ranked[0].worker, w0,
+            "database task routes to the DBA"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property oracle for the opt-in f32 serving path: `select_mean_f32`
-//! against the bit-exact f64 ranking on arbitrary matrices.
+//! Property oracle for the opt-in f32 serving path: `SkillMatrix::select`
+//! under `Precision::F32` against the bit-exact f64 ranking on arbitrary
+//! matrices.
 //!
 //! The f32 precision contract pinned here (DESIGN.md §10c):
 //!
@@ -23,7 +24,7 @@
 //! batching is bit-identical to itself) live in the skillmatrix unit
 //! tests; this file pins f32 *against f64*.
 
-use crowd_core::SkillMatrix;
+use crowd_core::{Precision, ScoreSpec, SkillMatrix};
 use crowd_store::WorkerId;
 use proptest::prelude::*;
 
@@ -105,8 +106,10 @@ proptest! {
     fn f32_serving_oracle(case in arb_case()) {
         let m = build(&case);
         let resolved = m.resolve_all();
-        let f64_ranked = m.select_mean(&case.lambda, &resolved, case.top, 1);
-        let f32_ranked = m.select_mean_f32(&case.lambda, &resolved, case.top, 1);
+        let f64_spec = ScoreSpec { threads: Some(1), ..ScoreSpec::default() };
+        let f32_spec = ScoreSpec { precision: Precision::F32, ..f64_spec };
+        let f64_ranked = m.select(&[&case.lambda], &resolved, case.top, &f64_spec).remove(0).ranked;
+        let f32_ranked = m.select(&[&case.lambda], &resolved, case.top, &f32_spec).remove(0).ranked;
 
         // NaN hygiene: both paths rank exactly the non-poisoned workers.
         let live = case.rows.iter().filter(|r| r.is_some()).count();

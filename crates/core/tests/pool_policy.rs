@@ -1,13 +1,12 @@
 //! Spawn-policy regression pin: sub-threshold selections never enqueue
 //! pool work.
 //!
-//! The bug this guards against: `select_top_k_with_threads` (and any other
-//! caller passing an explicit thread count) bypasses the model-layer
-//! `PARALLEL_MIN_CANDIDATES` policy, and before the
-//! [`MIN_POOL_CHUNK_ROWS`] floor a 1k-candidate selection at 8 threads was
-//! shredded into 128-row chunks whose pool hand-off cost more than the
-//! whole inline scan. The floor collapses such splits back to the inline
-//! path; this test pins that via the pool's own accounting.
+//! The bug this guards against: before the [`MIN_POOL_CHUNK_ROWS`] floor, a
+//! caller passing an explicit thread count could shred a 1k-candidate
+//! selection at 8 threads into 128-row chunks whose pool hand-off cost more
+//! than the whole inline scan. The floor collapses such splits back to the
+//! inline path, for single queries and batches alike; this test pins that
+//! via the pool's own accounting.
 //!
 //! Runs as an *integration* test so it owns the process: the global
 //! [`ScoringPool`] counters are process-wide, and unit tests running in
@@ -16,7 +15,7 @@
 //!
 //! [`MIN_POOL_CHUNK_ROWS`]: crowd_core::MIN_POOL_CHUNK_ROWS
 
-use crowd_core::{SkillMatrix, MIN_POOL_CHUNK_ROWS};
+use crowd_core::{ScoreSpec, SkillMatrix, MIN_POOL_CHUNK_ROWS};
 use crowd_math::ScoringPool;
 use crowd_store::WorkerId;
 
@@ -41,9 +40,31 @@ fn pool_enqueues_only_past_the_min_chunk_floor() {
     assert!(resolved_small.len() < MIN_POOL_CHUNK_ROWS);
     let before = pool.stats();
     for threads in [2usize, 8, 64] {
-        let ranked = small.select_mean(&lambda, &resolved_small, 7, threads);
+        let ranked = small
+            .select(
+                &[&lambda],
+                &resolved_small,
+                7,
+                &ScoreSpec {
+                    threads: Some(threads),
+                    ..ScoreSpec::default()
+                },
+            )
+            .remove(0)
+            .ranked;
         assert_eq!(ranked.len(), 7);
     }
+    // A 32-query batch below the floor stays inline too.
+    let batch = small.select(
+        &[lambda.as_slice(); 32],
+        &resolved_small,
+        7,
+        &ScoreSpec {
+            threads: Some(8),
+            ..ScoreSpec::default()
+        },
+    );
+    assert!(batch.iter().all(|p| p.complete && p.ranked.len() == 7));
     let after = pool.stats();
     assert_eq!(
         after.tasks_enqueued, before.tasks_enqueued,
@@ -55,7 +76,18 @@ fn pool_enqueues_only_past_the_min_chunk_floor() {
     let edge = seeded_matrix(u32::try_from(MIN_POOL_CHUNK_ROWS).unwrap());
     let resolved_edge = edge.resolve_all();
     let before = pool.stats();
-    let ranked = edge.select_mean(&lambda, &resolved_edge, 7, 8);
+    let ranked = edge
+        .select(
+            &[&lambda],
+            &resolved_edge,
+            7,
+            &ScoreSpec {
+                threads: Some(8),
+                ..ScoreSpec::default()
+            },
+        )
+        .remove(0)
+        .ranked;
     assert_eq!(ranked.len(), 7);
     let after = pool.stats();
     assert_eq!(
@@ -68,7 +100,18 @@ fn pool_enqueues_only_past_the_min_chunk_floor() {
     let large = seeded_matrix(u32::try_from(2 * MIN_POOL_CHUNK_ROWS).unwrap());
     let resolved_large = large.resolve_all();
     let before = pool.stats();
-    let pooled = large.select_mean(&lambda, &resolved_large, 7, 8);
+    let pooled = large
+        .select(
+            &[&lambda],
+            &resolved_large,
+            7,
+            &ScoreSpec {
+                threads: Some(8),
+                ..ScoreSpec::default()
+            },
+        )
+        .remove(0)
+        .ranked;
     let after = pool.stats();
     assert!(
         after.tasks_enqueued > before.tasks_enqueued,
@@ -77,7 +120,18 @@ fn pool_enqueues_only_past_the_min_chunk_floor() {
     assert_eq!(after.live_workers, after.workers, "no worker died");
 
     // And the pooled result is bit-identical to the inline walk.
-    let inline = large.select_mean(&lambda, &resolved_large, 7, 1);
+    let inline = large
+        .select(
+            &[&lambda],
+            &resolved_large,
+            7,
+            &ScoreSpec {
+                threads: Some(1),
+                ..ScoreSpec::default()
+            },
+        )
+        .remove(0)
+        .ranked;
     assert_eq!(pooled.len(), inline.len());
     for (a, b) in pooled.iter().zip(&inline) {
         assert_eq!(a.worker, b.worker);

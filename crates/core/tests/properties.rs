@@ -3,7 +3,8 @@
 use crowd_core::dataset::{TaskData, TrainingSet};
 use crowd_core::selection::{rank_of, top_k};
 use crowd_core::{
-    ModelParams, RankedWorker, TaskProjection, TdpmConfig, TdpmModel, TdpmTrainer, Validate,
+    ModelParams, RankedWorker, ScoreSpec, TaskProjection, TdpmConfig, TdpmModel, TdpmTrainer,
+    Validate,
 };
 use crowd_math::Vector;
 use crowd_store::{TaskId, WorkerId};
@@ -161,7 +162,11 @@ proptest! {
         };
         let candidates: Vec<WorkerId> = model.worker_ids().to_vec();
 
-        let greedy = model.select_top_k(&projection, candidates.clone(), k_select);
+        let lambdas = [projection.lambda.as_slice()];
+        let greedy = model
+            .select(&lambdas, &candidates, k_select, &ScoreSpec::default())
+            .remove(0)
+            .ranked;
         let optimistic =
             model.select_top_k_optimistic(&projection, candidates.clone(), k_select, 0.0);
         let mut rng = StdRng::seed_from_u64(rng_seed);
@@ -178,9 +183,9 @@ proptest! {
         }
     }
 
-    /// The dense serving paths — chunk-parallel [`TdpmModel::select_top_k_with_threads`]
-    /// at 1/2/8 threads, the blocked batch kernel behind
-    /// [`TdpmModel::select_top_k_batch`], and the optimistic variant — are
+    /// The dense serving paths — chunk-parallel [`TdpmModel::select`] at
+    /// 1/2/8 threads, the same call over a batch of queries, and the
+    /// optimistic variant — are
     /// all *bit-identical* to the hash-walk serial oracles, including on
     /// NaN-poisoned posteriors (skipped, never ranked) and unknown
     /// candidates (dropped).
@@ -216,12 +221,9 @@ proptest! {
 
         let oracle = model.select_top_k_serial(&projection, candidates.iter().copied(), k);
         for threads in [1usize, 2, 8] {
-            let dense = model.select_top_k_with_threads(
-                &projection,
-                candidates.iter().copied(),
-                k,
-                threads,
-            );
+            let spec = ScoreSpec { threads: Some(threads), ..ScoreSpec::default() };
+            let lambdas = [projection.lambda.as_slice()];
+            let dense = model.select(&lambdas, &candidates, k, &spec).remove(0).ranked;
             prop_assert_eq!(bits(&oracle), bits(&dense), "mean path, threads={}", threads);
         }
 
@@ -231,12 +233,13 @@ proptest! {
             nu2: Vector::zeros(3),
             num_tokens: 1.0,
         };
-        let projections = vec![projection.clone(), second, projection.clone()];
-        let batch = model.select_top_k_batch(&projections, &candidates, k);
+        let projections = [projection.clone(), second, projection.clone()];
+        let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
+        let batch = model.select(&lambdas, &candidates, k, &ScoreSpec::default());
         prop_assert_eq!(batch.len(), projections.len());
         for (i, (p, got)) in projections.iter().zip(&batch).enumerate() {
             let want = model.select_top_k_serial(p, candidates.iter().copied(), k);
-            prop_assert_eq!(bits(&want), bits(got), "batch query {}", i);
+            prop_assert_eq!(bits(&want), bits(&got.ranked), "batch query {}", i);
         }
 
         // Optimistic (UCB) path against its serial oracle, forced through

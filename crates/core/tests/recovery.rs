@@ -3,7 +3,7 @@
 //! decisions (Algorithm 3 + Eq. 1) agree with the planted ground truth.
 
 use crowd_core::generative::{generate, GeneratedData, GenerativeConfig};
-use crowd_core::{ModelParams, TdpmConfig, TdpmTrainer};
+use crowd_core::{ModelParams, ScoreSpec, TdpmConfig, TdpmTrainer};
 use crowd_math::Vector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,8 +74,15 @@ fn fitted_model_matches_planted_selection() {
             })
             .unwrap();
 
-        let ranked = model.rank_all(&projection, model.worker_ids().to_vec());
-        let model_rank_of_planted = ranked
+        let all = model.worker_ids();
+        let ranked = model.select(
+            &[projection.lambda.as_slice()],
+            all,
+            all.len(),
+            &ScoreSpec::default(),
+        );
+        let model_rank_of_planted = ranked[0]
+            .ranked
             .iter()
             .position(|r| r.worker.0 as usize == planted_best)
             .unwrap();
@@ -176,7 +183,13 @@ fn incremental_updates_track_new_specialty() {
     let projection = model.project_words(&words);
     let mut candidates = model.worker_ids().to_vec();
     candidates.sort();
-    let top = model.select_top_k(&projection, candidates, 3);
+    let top = model.select(
+        &[projection.lambda.as_slice()],
+        &candidates,
+        3,
+        &ScoreSpec::default(),
+    );
+    let top = &top[0].ranked;
     assert!(
         top.iter().any(|r| r.worker == newbie),
         "newbie should reach top-3 after 8 perfect scores: {top:?}"

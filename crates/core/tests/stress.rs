@@ -7,7 +7,7 @@
 //! workers, same order, same `f64` bits — so threading can never change a
 //! query answer.
 
-use crowd_core::{ModelParams, RankedWorker, TaskProjection, TdpmConfig, TdpmModel};
+use crowd_core::{ModelParams, RankedWorker, ScoreSpec, TaskProjection, TdpmConfig, TdpmModel};
 use crowd_math::Vector;
 use crowd_store::WorkerId;
 use rand::rngs::StdRng;
@@ -57,12 +57,15 @@ fn parallel_top_k_is_bit_identical_across_thread_counts() {
         let oracle = model.select_top_k_serial(&projection, candidates.iter().copied(), TOP_K);
         assert_eq!(oracle.len(), TOP_K);
         for threads in [1usize, 2, 3, 4, 7, 8, 16] {
-            let got = model.select_top_k_with_threads(
-                &projection,
-                candidates.iter().copied(),
-                TOP_K,
-                threads,
-            );
+            let spec = ScoreSpec {
+                threads: Some(threads),
+                ..ScoreSpec::default()
+            };
+            let lambdas = [projection.lambda.as_slice()];
+            let got = model
+                .select(&lambdas, &candidates, TOP_K, &spec)
+                .remove(0)
+                .ranked;
             assert_eq!(
                 bits(&oracle),
                 bits(&got),
@@ -85,11 +88,12 @@ fn batch_kernel_matches_serial_oracle_per_query() {
         })
         .collect();
 
-    let batch = model.select_top_k_batch(&projections, &candidates, TOP_K);
+    let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
+    let batch = model.select(&lambdas, &candidates, TOP_K, &ScoreSpec::default());
     assert_eq!(batch.len(), projections.len());
     for (i, (p, got)) in projections.iter().zip(&batch).enumerate() {
         let want = model.select_top_k_serial(p, candidates.iter().copied(), TOP_K);
-        assert_eq!(bits(&want), bits(got), "batch query {i}");
+        assert_eq!(bits(&want), bits(&got.ranked), "batch query {i}");
     }
 }
 
@@ -114,12 +118,15 @@ fn concurrent_queries_against_one_model_agree() {
             let oracle = oracle.clone();
             std::thread::spawn(move || {
                 for _ in 0..20 {
-                    let got = model.select_top_k_with_threads(
-                        &projection,
-                        candidates.iter().copied(),
-                        TOP_K,
-                        1 + t % 4,
-                    );
+                    let spec = ScoreSpec {
+                        threads: Some(1 + t % 4),
+                        ..ScoreSpec::default()
+                    };
+                    let lambdas = [projection.lambda.as_slice()];
+                    let got = model
+                        .select(&lambdas, &candidates, TOP_K, &spec)
+                        .remove(0)
+                        .ranked;
                     assert_eq!(oracle, bits(&got), "thread {t}");
                 }
             })

@@ -1,12 +1,11 @@
 //! Cooperative interruption of chunked kernels.
 //!
-//! The dense serving kernels ([`crate::kernels`]) and the chunk-parallel
-//! selection drivers in `crowd-core` stream large candidate sets through
-//! block/chunk loops. A [`WorkGuard`] is the hook those loops poll at every
-//! block boundary: the guard is *charged* with the block's work units
-//! before the block runs, and a `false` answer stops the loop cleanly at
-//! the boundary — the caller gets back how much completed, and shared
-//! state is never left mid-update.
+//! The chunk-parallel selection driver in `crowd-core` streams large
+//! candidate sets through block/chunk loops. A [`WorkGuard`] is the hook
+//! those loops poll at every block boundary: the guard is *charged* with
+//! the block's work units before the block runs, and a `false` answer stops
+//! the loop cleanly at the boundary — the caller gets back how much
+//! completed, and shared state is never left mid-update.
 //!
 //! The query layer implements [`WorkGuard`] over its per-query context
 //! (deadline, cancellation token, row budget); [`Unchecked`] is the no-op
@@ -20,10 +19,8 @@
 /// `consume(units)` is called with the size of the *next* block of work
 /// before that block runs. Returning `true` admits the block; `false`
 /// stops the loop at the current boundary. Implementations must be cheap —
-/// guards are polled every [`CHECKPOINT_ROWS`] rows (or every
-/// [`crate::kernels::GEMV_BLOCK_ROWS`]-row block in the batched kernel) —
-/// and `Sync`, because the chunk-parallel drivers poll one guard from
-/// every scoring thread.
+/// guards are polled every [`CHECKPOINT_ROWS`] rows — and `Sync`, because
+/// the chunk-parallel driver polls one guard from every scoring thread.
 pub trait WorkGuard: Sync {
     /// Charges `units` of upcoming work; `false` means stop before it.
     fn consume(&self, units: u64) -> bool;
@@ -58,10 +55,11 @@ impl<G: WorkGuard + Send + ?Sized> WorkGuard for std::sync::Arc<G> {
     }
 }
 
-/// Row-chunk size between guard polls in the serial/threaded selection
-/// drivers: large enough that the poll (an atomic load or two, possibly a
-/// clock read) vanishes against ~1k dot products, small enough that a
-/// deadline overshoots by at most one chunk.
+/// Row-chunk size between guard polls in the selection driver, for single
+/// queries and batches alike (charged `rows × queries`): large enough that
+/// the poll (an atomic load or two, possibly a clock read) vanishes against
+/// ~1k dot products, small enough that a deadline overshoots by at most one
+/// chunk.
 pub const CHECKPOINT_ROWS: usize = 1024;
 
 #[cfg(test)]

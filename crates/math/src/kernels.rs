@@ -2,12 +2,12 @@
 //!
 //! The online crowd-selection query (paper Eq. 1) scores every candidate
 //! worker against one projected task: `score(w) = w^i · c^j`. Served from the
-//! per-worker [`crate::Vector`] storage that means a `HashMap` lookup plus a
-//! dimension-checked dot product per candidate per query. These kernels work
-//! on a row-major `W × K` slice snapshot instead, so a query is a straight
-//! gather-free (or index-gathered) walk over contiguous memory, and a *batch*
-//! of queries can be blocked so each block of skill rows is streamed through
-//! the cache once for all queries.
+//! per-worker [`crate::Vector`] storage that means a scattered
+//! dimension-checked dot product per candidate per query. These kernels
+//! score rows of a row-major `W × K` slice snapshot instead; the selection
+//! driver in `crowd-core` walks that snapshot in [`GEMV_BLOCK_ROWS`]-row
+//! blocks so each block of skill rows streams through the cache once for
+//! every query of a batch.
 //!
 //! Every kernel accumulates in exactly the same *fixed* order, and the serial
 //! selection scorer in `crowd-core` calls [`dot`] too, so dense/pooled
@@ -30,8 +30,8 @@ pub const DOT_LANES: usize = 4;
 /// added left-to-right. Breaking the single serial dependency chain lets
 /// the compiler keep four FMAs in flight (SIMD or superscalar); keeping the
 /// chunking, lane assignment, and reduction tree *fixed* keeps the result
-/// a pure function of the inputs — every caller (serial scorer, pooled
-/// chunks, batched gemv) sees bit-identical scores. Callers guarantee
+/// a pure function of the inputs — every caller (serial scorer, inline
+/// and pooled chunks) sees bit-identical scores. Callers guarantee
 /// `a.len() == b.len()`; in debug builds this is asserted.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -88,145 +88,17 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// Dense matrix–vector product `out[r] = A[r, ·] · x` over all rows.
-///
-/// `a` is row-major with `a.len() == out.len() * k` and `x.len() == k`.
-pub fn gemv_rowmajor(k: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), k, "kernels::gemv_rowmajor x length");
-    debug_assert_eq!(a.len(), out.len() * k, "kernels::gemv_rowmajor shape");
-    for (row, slot) in a.chunks_exact(k).zip(out.iter_mut()) {
-        *slot = dot(row, x);
-    }
-}
-
-/// Gathered matrix–vector product: `out[i] = A[rows[i], ·] · x`.
-///
-/// `rows` holds row indices into the `W × K` row-major matrix `a`; candidates
-/// resolved from a subset of the worker pool score through this without
-/// materializing a packed copy of their rows.
-pub fn gemv_gathered(k: usize, a: &[f64], rows: &[usize], x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), k, "kernels::gemv_gathered x length");
-    debug_assert_eq!(rows.len(), out.len(), "kernels::gemv_gathered shape");
-    for (&r, slot) in rows.iter().zip(out.iter_mut()) {
-        *slot = dot(&a[r * k..(r + 1) * k], x);
-    }
-}
-
-/// Row block size for [`gemv_gathered_batch`]: 64 rows × K=32 × 8 bytes is
-/// 16 KiB, comfortably inside L1 together with the query vectors.
+/// Row block size of the dense selection driver: 64 rows × K=32 × 8 bytes
+/// is 16 KiB, comfortably inside L1 together with the query vectors, and
+/// 64 f64 scores fill a 512-byte stack scratch.
 pub const GEMV_BLOCK_ROWS: usize = 64;
-
-/// Cache-blocked batched gather-gemv: `outs[q][i] = A[rows[i], ·] · xs[q]`.
-///
-/// Iterates row blocks in the outer loop and queries in the inner loop, so a
-/// block of gathered skill rows is loaded into cache once and reused for
-/// every query in the batch. Per-element accumulation order is unchanged
-/// (each `outs[q][i]` is still one left-to-right [`dot`]), so results are
-/// bit-identical to `Q` independent [`gemv_gathered`] calls.
-pub fn gemv_gathered_batch(
-    k: usize,
-    a: &[f64],
-    rows: &[usize],
-    xs: &[&[f64]],
-    outs: &mut [Vec<f64>],
-) {
-    let done = gemv_gathered_batch_guarded(k, a, rows, xs, outs, &crate::guard::Unchecked);
-    debug_assert_eq!(done, rows.len(), "Unchecked guard never stops the loop");
-}
-
-/// [`gemv_gathered_batch`] with a [`WorkGuard`] polled at every
-/// [`GEMV_BLOCK_ROWS`]-row block boundary, charged `block_rows × queries`
-/// units before the block runs. Returns how many rows were fully scored for
-/// *every* query; entries past that prefix are zero-filled and must not be
-/// read. With a guard that never fires the function scores everything and
-/// is the implementation behind [`gemv_gathered_batch`] — bit-identical by
-/// construction.
-///
-/// [`WorkGuard`]: crate::guard::WorkGuard
-pub fn gemv_gathered_batch_guarded<G: crate::guard::WorkGuard>(
-    k: usize,
-    a: &[f64],
-    rows: &[usize],
-    xs: &[&[f64]],
-    outs: &mut [Vec<f64>],
-    guard: &G,
-) -> usize {
-    debug_assert_eq!(xs.len(), outs.len(), "kernels::gemv_gathered_batch shape");
-    for out in outs.iter_mut() {
-        out.clear();
-        out.resize(rows.len(), 0.0);
-    }
-    let mut base = 0;
-    for block in rows.chunks(GEMV_BLOCK_ROWS) {
-        if !guard.consume(block.len() as u64 * xs.len().max(1) as u64) {
-            return base;
-        }
-        for (x, out) in xs.iter().zip(outs.iter_mut()) {
-            for (i, &r) in block.iter().enumerate() {
-                out[base + i] = dot(&a[r * k..(r + 1) * k], x);
-            }
-        }
-        base += block.len();
-    }
-    base
-}
-
-/// f32 variant of [`gemv_gathered_batch`]: same 64-row blocking, scores via
-/// [`dot_f32`]. Serves the opt-in f32 `SkillMatrix` path.
-pub fn gemv_gathered_batch_f32(
-    k: usize,
-    a: &[f32],
-    rows: &[usize],
-    xs: &[&[f32]],
-    outs: &mut [Vec<f32>],
-) {
-    let done = gemv_gathered_batch_f32_guarded(k, a, rows, xs, outs, &crate::guard::Unchecked);
-    debug_assert_eq!(done, rows.len(), "Unchecked guard never stops the loop");
-}
-
-/// [`gemv_gathered_batch_f32`] with a [`WorkGuard`] polled at every
-/// [`GEMV_BLOCK_ROWS`]-row block boundary — identical charging and
-/// completed-prefix semantics to [`gemv_gathered_batch_guarded`].
-///
-/// [`WorkGuard`]: crate::guard::WorkGuard
-pub fn gemv_gathered_batch_f32_guarded<G: crate::guard::WorkGuard>(
-    k: usize,
-    a: &[f32],
-    rows: &[usize],
-    xs: &[&[f32]],
-    outs: &mut [Vec<f32>],
-    guard: &G,
-) -> usize {
-    debug_assert_eq!(
-        xs.len(),
-        outs.len(),
-        "kernels::gemv_gathered_batch_f32 shape"
-    );
-    for out in outs.iter_mut() {
-        out.clear();
-        out.resize(rows.len(), 0.0);
-    }
-    let mut base = 0;
-    for block in rows.chunks(GEMV_BLOCK_ROWS) {
-        if !guard.consume(block.len() as u64 * xs.len().max(1) as u64) {
-            return base;
-        }
-        for (x, out) in xs.iter().zip(outs.iter_mut()) {
-            for (i, &r) in block.iter().enumerate() {
-                out[base + i] = dot_f32(&a[r * k..(r + 1) * k], x);
-            }
-        }
-        base += block.len();
-    }
-    base
-}
 
 /// Optimistic (UCB-style) score for one gathered row:
 /// `mean · x + beta * sqrt(max(0, Σ_k vars[k] · x[k]²))`.
 ///
 /// The variance accumulation runs left-to-right over `k`, matching the serial
-/// loop in `TdpmModel::select_top_k_optimistic`, so the dense optimistic path
-/// is bit-identical to the serial one.
+/// loop in `TdpmModel::select_top_k_optimistic_serial`, so the dense
+/// optimistic path is bit-identical to the serial one.
 #[inline]
 pub fn ucb_score(mean_row: &[f64], var_row: &[f64], x: &[f64], beta: f64) -> f64 {
     debug_assert_eq!(mean_row.len(), x.len(), "kernels::ucb_score mean length");
@@ -244,14 +116,10 @@ mod tests {
     use super::*;
     use crate::Vector;
 
-    fn matrix(rows: usize, k: usize) -> Vec<f64> {
-        (0..rows * k).map(|i| (i as f64) * 0.37 - 3.0).collect()
-    }
-
     /// Transparent reference implementation of the documented 4-lane
     /// reduction order. [`dot`] must match it bitwise on every length —
-    /// this pin is what lets every consumer (serial scorer, pooled chunks,
-    /// batched gemv) claim bit-identity with each other.
+    /// this pin is what lets every consumer (serial scorer, inline and
+    /// pooled chunks) claim bit-identity with each other.
     fn dot_lane_reference(a: &[f64], b: &[f64]) -> f64 {
         let mut lanes = [0.0f64; DOT_LANES];
         let n4 = (a.len() / DOT_LANES) * DOT_LANES;
@@ -318,144 +186,6 @@ mod tests {
             }
             assert_eq!(dot_f32(&a, &b).to_bits(), want.to_bits(), "length {n}");
         }
-    }
-
-    #[test]
-    fn f32_batched_bit_identical_to_independent_f32_dots() {
-        let k = 9;
-        let rows_n = GEMV_BLOCK_ROWS + 21;
-        let a: Vec<f32> = (0..rows_n * k).map(|i| (i as f32) * 0.37 - 3.0).collect();
-        let rows: Vec<usize> = (0..rows_n).rev().collect();
-        let q0: Vec<f32> = (0..k).map(|i| (i as f32) * 0.1).collect();
-        let q1: Vec<f32> = (0..k).map(|i| 1.0 - i as f32).collect();
-        let xs: Vec<&[f32]> = vec![&q0, &q1];
-        let mut outs = vec![Vec::new(), Vec::new()];
-        gemv_gathered_batch_f32(k, &a, &rows, &xs, &mut outs);
-        for (x, out) in xs.iter().zip(&outs) {
-            for (i, &r) in rows.iter().enumerate() {
-                assert_eq!(
-                    out[i].to_bits(),
-                    dot_f32(&a[r * k..(r + 1) * k], x).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_guarded_batch_stops_at_a_block_boundary() {
-        use crate::guard::WorkGuard;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        struct Budget(AtomicU64);
-        impl WorkGuard for Budget {
-            fn consume(&self, units: u64) -> bool {
-                self.0
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| r.checked_sub(units))
-                    .is_ok()
-            }
-        }
-        let k = 4;
-        let rows_n = GEMV_BLOCK_ROWS * 3;
-        let a: Vec<f32> = (0..rows_n * k).map(|i| (i as f32) * 0.11 - 2.0).collect();
-        let rows: Vec<usize> = (0..rows_n).collect();
-        let q0: Vec<f32> = (0..k).map(|i| 0.3 - i as f32).collect();
-        let xs: Vec<&[f32]> = vec![&q0];
-        let mut outs = vec![Vec::new()];
-        let guard = Budget(AtomicU64::new(GEMV_BLOCK_ROWS as u64));
-        let done = gemv_gathered_batch_f32_guarded(k, &a, &rows, &xs, &mut outs, &guard);
-        assert_eq!(done, GEMV_BLOCK_ROWS);
-        assert!(outs[0][done..].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn gemv_rowmajor_scores_every_row() {
-        let k = 5;
-        let a = matrix(4, k);
-        let x: Vec<f64> = (0..k).map(|i| i as f64 + 0.5).collect();
-        let mut out = vec![0.0; 4];
-        gemv_rowmajor(k, &a, &x, &mut out);
-        for r in 0..4 {
-            assert_eq!(out[r].to_bits(), dot(&a[r * k..(r + 1) * k], &x).to_bits());
-        }
-    }
-
-    #[test]
-    fn gathered_matches_rowmajor_on_identity_gather() {
-        let k = 3;
-        let a = matrix(6, k);
-        let x = vec![1.0, -2.0, 0.25];
-        let rows: Vec<usize> = (0..6).collect();
-        let mut full = vec![0.0; 6];
-        let mut gathered = vec![0.0; 6];
-        gemv_rowmajor(k, &a, &x, &mut full);
-        gemv_gathered(k, &a, &rows, &x, &mut gathered);
-        assert_eq!(full, gathered);
-    }
-
-    #[test]
-    fn gathered_respects_row_permutation() {
-        let k = 2;
-        let a = matrix(5, k);
-        let x = vec![0.5, 2.0];
-        let rows = vec![4, 0, 2];
-        let mut out = vec![0.0; 3];
-        gemv_gathered(k, &a, &rows, &x, &mut out);
-        assert_eq!(out[0].to_bits(), dot(&a[8..10], &x).to_bits());
-        assert_eq!(out[1].to_bits(), dot(&a[0..2], &x).to_bits());
-        assert_eq!(out[2].to_bits(), dot(&a[4..6], &x).to_bits());
-    }
-
-    #[test]
-    fn batched_bit_identical_to_independent_gemvs() {
-        let k = 7;
-        // More rows than one block so the blocking loop actually iterates.
-        let rows_n = GEMV_BLOCK_ROWS * 2 + 13;
-        let a = matrix(rows_n, k);
-        let rows: Vec<usize> = (0..rows_n).rev().collect();
-        let q0: Vec<f64> = (0..k).map(|i| (i as f64) * 0.1).collect();
-        let q1: Vec<f64> = (0..k).map(|i| 1.0 - i as f64).collect();
-        let xs: Vec<&[f64]> = vec![&q0, &q1];
-        let mut outs = vec![Vec::new(), Vec::new()];
-        gemv_gathered_batch(k, &a, &rows, &xs, &mut outs);
-        for (x, out) in xs.iter().zip(&outs) {
-            let mut reference = vec![0.0; rows_n];
-            gemv_gathered(k, &a, &rows, x, &mut reference);
-            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn guarded_batch_stops_at_a_block_boundary() {
-        use crate::guard::WorkGuard;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        struct Budget(AtomicU64);
-        impl WorkGuard for Budget {
-            fn consume(&self, units: u64) -> bool {
-                self.0
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| r.checked_sub(units))
-                    .is_ok()
-            }
-        }
-        let k = 4;
-        let rows_n = GEMV_BLOCK_ROWS * 3;
-        let a = matrix(rows_n, k);
-        let rows: Vec<usize> = (0..rows_n).collect();
-        let q0: Vec<f64> = (0..k).map(|i| 0.3 - i as f64).collect();
-        let xs: Vec<&[f64]> = vec![&q0];
-        let mut outs = vec![Vec::new()];
-        // Budget admits exactly two blocks (block.len() × 1 query each).
-        let guard = Budget(AtomicU64::new(2 * GEMV_BLOCK_ROWS as u64));
-        let done = gemv_gathered_batch_guarded(k, &a, &rows, &xs, &mut outs, &guard);
-        assert_eq!(done, 2 * GEMV_BLOCK_ROWS);
-        // The completed prefix is bit-identical to the unguarded kernel.
-        let mut reference = vec![Vec::new()];
-        gemv_gathered_batch(k, &a, &rows, &xs, &mut reference);
-        for i in 0..done {
-            assert_eq!(outs[0][i].to_bits(), reference[0][i].to_bits());
-        }
-        // Rows past the stop point were never scored.
-        assert!(outs[0][done..].iter().all(|&v| v == 0.0));
     }
 
     #[test]

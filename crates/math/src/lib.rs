@@ -19,8 +19,8 @@
 //! - [`special`]: `lgamma`, `digamma`, `logsumexp`, `softmax` — required by
 //!   the LDA baseline and the logistic-normal topic link.
 //! - [`stats`]: sample means / covariances for the M-step (paper Eqs. 16–19).
-//! - [`kernels`]: contiguous-slice scoring kernels (gathered / blocked gemv,
-//!   UCB scores) for the dense online-selection serving path.
+//! - [`kernels`]: fixed-order f64/f32 dot and UCB row scores for the dense
+//!   online-selection serving path.
 //! - [`guard`]: the [`WorkGuard`] checkpoint trait the chunked kernels poll
 //!   so a query-layer deadline/cancellation/budget can stop them cleanly at
 //!   a block boundary.

@@ -1,7 +1,7 @@
 //! Persistent scoring pool for the dense serving path.
 //!
-//! PR 4's chunk-parallel selection spawned scoped threads *per query*
-//! (`crossbeam::thread::scope`), and `results/BENCH_4.json` showed the cost:
+//! Chunk-parallel selection used to spawn scoped threads *per query*
+//! (`crossbeam::thread::scope`), and its benchmark showed the cost:
 //! `dense_t8` was slower than `dense_t1` at every candidate count because
 //! each query paid ~8 OS-thread spawns before scoring a single row. This
 //! module replaces that with a process-wide, lazily-initialized pool of
@@ -23,7 +23,7 @@
 //!   drains its own batch's task queue alongside the workers. On a
 //!   single-core host this means a `threads = 8` selection degenerates to
 //!   the inline path plus a few queue operations instead of eight
-//!   serialized spawn/join cycles — the BENCH_4 regression case.
+//!   serialized spawn/join cycles — the per-query spawn regression case.
 //! - **No worker-side blocking.** Jobs never wait on other jobs, so a full
 //!   queue cannot deadlock: every submitted batch is drained by the caller
 //!   even if all workers are busy elsewhere. A job that *is* submitted from

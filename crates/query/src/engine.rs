@@ -1,16 +1,17 @@
 //! Query execution over a crowd database.
 //!
 //! Since the planner/executor split, the engine is a thin facade: [`run`]
-//! parses, [`execute`] compiles the statement into a [`LogicalPlan`]
-//! (`crate::plan`) and hands it to the instrumented executor
-//! (`crate::exec`). The engine owns the long-lived state the executor works
-//! against — storage, the backend registry, fitted snapshots, the
-//! projection cache, observability — plus the policy helpers (candidate
-//! filtering, snapshot invalidation, lazy fitting) that plan nodes call
-//! back into.
+//! parses, [`compile`] lowers the statement into a [`LogicalPlan`]
+//! (`crate::plan`) and [`execute_plan`] hands it to the instrumented
+//! executor (`crate::exec`). The engine owns the long-lived state the
+//! executor works against — storage, the backend registry, fitted
+//! snapshots, the projection cache, observability — plus the policy
+//! helpers (candidate filtering, snapshot invalidation, lazy fitting) that
+//! plan nodes call back into.
 //!
 //! [`run`]: QueryEngine::run
-//! [`execute`]: QueryEngine::execute
+//! [`compile`]: QueryEngine::compile
+//! [`execute_plan`]: QueryEngine::execute_plan
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::ast::{BackendName, ShowTarget, Statement};
@@ -194,25 +195,7 @@ impl QueryEngine {
     /// [`QueryContext`] (deadline, cancellation, budget, degradation
     /// policy).
     pub fn run_with(&mut self, input: &str, ctx: &QueryContext) -> Result<QueryOutput, QueryError> {
-        let stmt = crate::parse(input)?;
-        self.execute_with(stmt, ctx)
-    }
-
-    /// Executes a parsed statement by compiling it into a [`LogicalPlan`]
-    /// and walking the plan.
-    // crowd-lint: root(wait)
-    pub fn execute(&mut self, stmt: Statement) -> Result<QueryOutput, QueryError> {
-        self.execute_with(stmt, &QueryContext::unbounded())
-    }
-
-    /// [`QueryEngine::execute`] under a caller-supplied [`QueryContext`].
-    // crowd-lint: root(wait)
-    pub fn execute_with(
-        &mut self,
-        stmt: Statement,
-        ctx: &QueryContext,
-    ) -> Result<QueryOutput, QueryError> {
-        let plan = self.compile(&stmt);
+        let plan = self.compile(&crate::parse(input)?);
         let mut outputs = self.execute_plan_with(&plan, ctx)?;
         if outputs.len() == 1 {
             Ok(outputs.swap_remove(0))
@@ -304,32 +287,21 @@ impl QueryEngine {
     }
 
     /// Executes one `SELECT WORKERS` sweep for several task texts against a
-    /// single backend and candidate pool, returning one ranking per text in
-    /// input order.
+    /// single backend and candidate pool under `ctx`, returning one ranking
+    /// per text in input order ([`QueryContext::unbounded`] constrains
+    /// nothing).
     ///
     /// Equivalent to running the statement once per text (bit-identical
     /// scores) but cheaper: the sweep compiles to one fused plan
     /// ([`crate::plan::compile_select_batch`]) whose candidate pool is
-    /// scanned once, TDPM queries flow through the projection cache and the
-    /// cache-blocked batch kernel of [`crowd_core::SkillMatrix`], and the
-    /// baselines amortize their profile resolution through
-    /// [`crowd_select::CrowdSelector::select_batch`].
+    /// scanned once, TDPM queries flow through the projection cache and one
+    /// batched [`crowd_core::TdpmModel::select`] call, and the baselines
+    /// amortize their profile resolution through
+    /// [`crowd_select::CrowdSelector::select_batch`]. The whole sweep shares
+    /// one deadline, cancellation token and work budget, and under
+    /// [`crate::DegradePolicy::Partial`] an interruption yields per-query
+    /// tables marked `degraded` instead of an error.
     pub fn select_workers_batch(
-        &mut self,
-        texts: &[&str],
-        limit: usize,
-        backend: &str,
-        min_group: Option<usize>,
-    ) -> Result<Vec<WorkerTable>, QueryError> {
-        self.select_workers_batch_with(texts, limit, backend, min_group, &QueryContext::unbounded())
-    }
-
-    /// [`QueryEngine::select_workers_batch`] under a caller-supplied
-    /// [`QueryContext`]: the whole sweep shares one deadline, cancellation
-    /// token and work budget, and under [`crate::DegradePolicy::Partial`]
-    /// an interruption yields per-query tables marked `degraded` instead
-    /// of an error.
-    pub fn select_workers_batch_with(
         &mut self,
         texts: &[&str],
         limit: usize,
@@ -786,7 +758,9 @@ mod tests {
             "why does a btree split pages",
         ];
         for backend in ["tdpm", "vsm", "drm", "tspm"] {
-            let batch = e.select_workers_batch(&texts, 2, backend, None).unwrap();
+            let batch = e
+                .select_workers_batch(&texts, 2, backend, None, &QueryContext::unbounded())
+                .unwrap();
             assert_eq!(batch.len(), texts.len(), "{backend}");
             for (text, got) in texts.iter().zip(&batch) {
                 let out = e
@@ -808,7 +782,7 @@ mod tests {
         // The WHERE filter applies to the whole sweep.
         e.run("INSERT WORKER 'lurker'").unwrap();
         let batch = e
-            .select_workers_batch(&["btree"], 10, "vsm", Some(1))
+            .select_workers_batch(&["btree"], 10, "vsm", Some(1), &QueryContext::unbounded())
             .unwrap();
         assert!(batch[0].iter().all(|r| r.handle != "lurker"));
     }

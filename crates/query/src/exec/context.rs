@@ -92,8 +92,8 @@ pub enum Interruption {
 struct CtxState {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    /// Remaining work units (candidate rows scored; rows × queries in the
-    /// batched kernel). `None` = unmetered.
+    /// Remaining work units (candidate rows × queries scored). `None` =
+    /// unmetered.
     budget: Option<AtomicU64>,
     /// Latched by the guard when a charge overdraws the budget, so
     /// node-boundary checks see the exhaustion without racing on "exactly
@@ -182,8 +182,9 @@ impl QueryContext {
         self
     }
 
-    /// Meters the query to at most `rows` work units (candidate rows
-    /// scored; the batched kernel charges rows × queries per block).
+    /// Meters the query to at most `rows` work units: the selection driver
+    /// charges rows × queries before every 1024-row checkpoint, for single
+    /// queries and batches alike.
     pub fn with_row_budget(mut self, rows: u64) -> Self {
         Arc::make_mut(&mut self.state).budget = Some(AtomicU64::new(rows));
         self

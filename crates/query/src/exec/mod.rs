@@ -12,10 +12,10 @@
 //! unknown backend / missing model), `Project` serves Algorithm-3
 //! projections through the same LRU cache (and owns the
 //! `select_cache_{hit,miss}` counters), and `Score` — with the `TopK`
-//! limit pushed down by the compiler — drives exactly the fused kernels
-//! the old code paths called, now through their guarded variants
-//! ([`crowd_core::TdpmModel::select_top_k_guarded`] and friends) so the
-//! query's [`QueryContext`] is polled at every kernel chunk boundary.
+//! limit pushed down by the compiler — makes one
+//! [`crowd_core::TdpmModel::select`] call per plan with the context's guard
+//! in its [`crowd_core::ScoreSpec`], so the query's [`QueryContext`] is
+//! polled at every kernel checkpoint.
 //!
 //! **Robustness model.** [`execute_ctx`] checkpoints the context at every
 //! node boundary and inside the dense kernels. An interruption
@@ -41,10 +41,11 @@ use crate::engine::QueryEngine;
 use crate::output::{QueryOutput, WorkerTable};
 use crate::plan::{LogicalPlan, PlanNode, VarId};
 use crate::QueryError;
-use crowd_core::{Precision, TaskProjection, TdpmModel};
+use crowd_core::{Precision, ScoreSpec, TaskProjection, TdpmModel};
 use crowd_select::{BatchQuery, FittedSelector, RankedWorker};
 use crowd_store::WorkerId;
 use crowd_text::{tokenize_filtered, BagOfWords};
+use std::borrow::Cow;
 use std::time::Duration;
 
 /// One query after `Project`: its bag of words over the stored vocabulary,
@@ -423,15 +424,15 @@ fn prepare_queries(
 }
 
 /// Ranks every prepared query against the pool through the bound snapshot,
-/// with the pushed-down limit driving the fused rank-and-truncate kernels
-/// and the context's guard polled at every kernel chunk boundary.
+/// with the pushed-down limit driving the fused rank-and-truncate driver
+/// and the context's guard polled at every kernel checkpoint.
 ///
-/// Single queries take the per-query dense path, multi-query plans the
-/// batched kernels — both bit-identical to each other and to the
-/// pre-context engine whenever the context never fires (the guarded
-/// kernels *are* the unguarded ones then; baselines without guarded
-/// batch kernels fall back to the per-query path, which PR 4's property
-/// suite pins bit-identical to `select_batch`).
+/// Every TDPM plan — one query or a fused sweep — is one
+/// [`TdpmModel::select`] call, bit-identical to the pre-context engine
+/// whenever the context never fires (a never-firing guard runs the same
+/// loop as none). Baselines have no guarded batch kernels and fall back to
+/// the per-query path under a constraining context, which the selector
+/// property suite pins bit-identical to `select_batch`.
 ///
 /// `precision` routes TDPM scoring through the f32 skill mirror when the
 /// engine opted in; baselines have no reduced-precision path and ignore it
@@ -446,54 +447,29 @@ fn score_queries(
 ) -> Vec<Scored> {
     match fitted.downcast_ref::<TdpmModel>() {
         Some(model) => {
-            let guard = ctx.guard();
-            if let [query] = queries {
-                // Project never misses the projection for a TDPM snapshot;
-                // the fallback keeps this total without a panic path.
-                let computed;
-                let projection = match &query.projection {
-                    Some(p) => p,
-                    None => {
-                        computed = model.project_bow(&query.bow);
-                        &computed
-                    }
-                };
-                let pr = match precision {
-                    Precision::F64 => {
-                        model.select_top_k_guarded(projection, pool.iter().copied(), k, &guard)
-                    }
-                    Precision::F32 => {
-                        model.select_top_k_f32_guarded(projection, pool.iter().copied(), k, &guard)
-                    }
-                };
-                vec![Scored {
+            // Project never misses the projection for a TDPM snapshot; the
+            // fallback keeps this total without a panic path.
+            let projections: Vec<Cow<'_, TaskProjection>> = queries
+                .iter()
+                .map(|q| match &q.projection {
+                    Some(p) => Cow::Borrowed(p),
+                    None => Cow::Owned(model.project_bow(&q.bow)),
+                })
+                .collect();
+            let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
+            let spec = ScoreSpec {
+                precision,
+                threads: None,
+                guard: ctx.guard(),
+            };
+            model
+                .select(&lambdas, pool, k, &spec)
+                .into_iter()
+                .map(|pr| Scored {
                     ranked: pr.ranked,
                     complete: pr.complete,
-                }]
-            } else {
-                let projections: Vec<TaskProjection> = queries
-                    .iter()
-                    .map(|q| match &q.projection {
-                        Some(p) => p.clone(),
-                        None => model.project_bow(&q.bow),
-                    })
-                    .collect();
-                let partials = match precision {
-                    Precision::F64 => {
-                        model.select_top_k_batch_guarded(&projections, pool, k, &guard)
-                    }
-                    Precision::F32 => {
-                        model.select_top_k_f32_batch_guarded(&projections, pool, k, &guard)
-                    }
-                };
-                partials
-                    .into_iter()
-                    .map(|pr| Scored {
-                        ranked: pr.ranked,
-                        complete: pr.complete,
-                    })
-                    .collect()
-            }
+                })
+                .collect()
         }
         None => {
             if let [query] = queries {

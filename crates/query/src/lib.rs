@@ -23,7 +23,7 @@
 //!
 //! Pipeline: [`parse`] → [`Statement`] → compile ([`plan::compile`]) →
 //! [`LogicalPlan`] → execute (`exec`, instrumented per plan node) →
-//! [`QueryOutput`]. [`QueryEngine::execute`] is a thin facade over that
+//! [`QueryOutput`]. [`QueryEngine::run`] is a thin facade over that
 //! pipeline; `EXPLAIN <statement>` stops after compilation and renders the
 //! plan deterministically. The engine owns a [`crowd_store::CrowdDb`] and a
 //! [`crowd_select::SelectorRegistry`]; a `USING <backend>` clause is

@@ -7,8 +7,8 @@
 //! before `Bind`. The compiler's one cross-statement optimization is
 //! *select fusion* ([`compile_select_batch`]): a sweep of `SELECT WORKERS`
 //! statements over one candidate pool lowers to a single plan whose
-//! `Project`/`Score` nodes carry every query, bottoming out in the batched
-//! kernels ([`crowd_core::TdpmModel::select_top_k_batch`],
+//! `Project`/`Score` nodes carry every query, bottoming out in one batched
+//! selection call ([`crowd_core::TdpmModel::select`],
 //! [`crowd_select::CrowdSelector::select_batch`]).
 
 use super::{CacheDecision, LogicalPlan, MutationOp, PlanNode, VarId};

@@ -25,8 +25,8 @@
 //! task text into bags of words and — for TDPM — Algorithm-3 projections
 //! through the projection cache, `Score` ranks candidates per query (the
 //! compiler pushes the `TopK` limit down into `Score` so the executor can
-//! drive the fused rank-and-truncate kernels of
-//! [`crowd_core::TdpmModel::select_top_k`]), `TopK` truncates, and `Merge`
+//! drive the fused rank-and-truncate driver of
+//! [`crowd_core::TdpmModel::select`]), `TopK` truncates, and `Merge`
 //! decorates the rankings with worker handles in query order. Mutations,
 //! `TRAIN MODEL`, `SHOW` and `EXPLAIN` lower to the single-node plans
 //! [`PlanNode::Mutate`], [`PlanNode::Fit`], [`PlanNode::Inspect`] and

@@ -9,7 +9,7 @@
 //! pinned separately in the engine unit tests and the chaos suite; this
 //! file pins the "nothing happened" half of the contract.
 
-use crowd_core::TdpmModel;
+use crowd_core::{Precision, ScoreSpec, TdpmModel};
 use crowd_query::output::SelectedWorker;
 use crowd_query::{CancelToken, QueryContext, QueryEngine, QueryOutput};
 use crowd_text::{tokenize_filtered, BagOfWords};
@@ -103,9 +103,11 @@ proptest! {
         let ctx = never_firing();
 
         for backend in BACKENDS {
-            let plain_batch = e.select_workers_batch(&refs, k, backend, None).unwrap();
+            let plain_batch = e
+                .select_workers_batch(&refs, k, backend, None, &QueryContext::unbounded())
+                .unwrap();
             let guarded_batch = e
-                .select_workers_batch_with(&refs, k, backend, None, &ctx)
+                .select_workers_batch(&refs, k, backend, None, &ctx)
                 .unwrap();
             prop_assert_eq!(guarded_batch.len(), plain_batch.len());
             for (i, (g, p)) in guarded_batch.iter().zip(&plain_batch).enumerate() {
@@ -149,21 +151,17 @@ proptest! {
         let candidates: Vec<_> = e.db().worker_ids().collect();
         let resolved = model.skill_matrix().resolve(candidates.iter().copied());
 
-        let base = model.select_top_k_with_threads(
-            &projection,
-            candidates.iter().copied(),
-            k,
-            1,
-        );
+        let lambdas = [projection.lambda.as_slice()];
+        let spec = ScoreSpec { threads: Some(1), ..ScoreSpec::default() };
+        let base = model.select(&lambdas, &candidates, k, &spec).remove(0).ranked;
         let ctx = never_firing();
         for threads in [1usize, 2, 8] {
-            let partial = model.skill_matrix().select_mean_guarded(
-                projection.lambda.as_slice(),
-                &resolved,
-                k,
-                threads,
-                &ctx.guard(),
-            );
+            let spec = ScoreSpec {
+                precision: Precision::F64,
+                threads: Some(threads),
+                guard: ctx.guard(),
+            };
+            let partial = model.skill_matrix().select(&lambdas, &resolved, k, &spec).remove(0);
             prop_assert!(partial.complete, "threads={}", threads);
             prop_assert_eq!(partial.scanned, resolved.len(), "threads={}", threads);
             prop_assert_eq!(partial.ranked.len(), base.len(), "threads={}", threads);

@@ -8,9 +8,9 @@
 //! results, so a planner or executor regression cannot change a single
 //! score bit without failing here.
 
-use crowd_core::TdpmModel;
+use crowd_core::{ScoreSpec, TdpmModel};
 use crowd_query::output::SelectedWorker;
-use crowd_query::{QueryEngine, QueryOutput};
+use crowd_query::{QueryContext, QueryEngine, QueryOutput};
 use crowd_select::{BatchQuery, RankedWorker};
 use crowd_text::{tokenize_filtered, BagOfWords};
 use proptest::prelude::*;
@@ -98,9 +98,11 @@ proptest! {
         for backend in BACKENDS {
             // Fused batch plan (Scan → Bind → Project → Score → TopK → Merge
             // over every text at once). First run is the cold-cache state.
-            let planned_batch = e.select_workers_batch(&refs, k, backend, None).unwrap();
+            let unbounded = QueryContext::unbounded();
+            let planned_batch =
+                e.select_workers_batch(&refs, k, backend, None, &unbounded).unwrap();
             // Second run hits the projection cache for TDPM: bits must not move.
-            let planned_warm = e.select_workers_batch(&refs, k, backend, None).unwrap();
+            let planned_warm = e.select_workers_batch(&refs, k, backend, None, &unbounded).unwrap();
 
             // Single-statement plans, one per text (cache now warm).
             let mut planned_single = Vec::new();
@@ -129,20 +131,16 @@ proptest! {
                     .iter()
                     .map(|bow| {
                         let projection = model.project_bow(bow);
-                        let base = model.select_top_k_with_threads(
-                            &projection,
-                            candidates.iter().copied(),
-                            k,
-                            1,
-                        );
+                        let lambdas = [projection.lambda.as_slice()];
+                        let spec = |t| ScoreSpec { threads: Some(t), ..ScoreSpec::default() };
+                        let base =
+                            model.select(&lambdas, &candidates, k, &spec(1)).remove(0).ranked;
                         // Thread-count invariance of the kernel the plan runs.
                         for threads in [2usize, 8] {
-                            let other = model.select_top_k_with_threads(
-                                &projection,
-                                candidates.iter().copied(),
-                                k,
-                                threads,
-                            );
+                            let other = model
+                                .select(&lambdas, &candidates, k, &spec(threads))
+                                .remove(0)
+                                .ranked;
                             prop_assert_eq!(base.len(), other.len());
                             for (a, b) in base.iter().zip(&other) {
                                 prop_assert_eq!(a.worker, b.worker);

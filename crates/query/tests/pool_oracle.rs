@@ -1,10 +1,10 @@
 //! Thread-scaling oracle: the persistent scoring pool is *bitwise*
 //! invisible at every thread count, on every backend, guarded or not.
 //!
-//! The serial f64 walk (`TdpmModel::select_top_k_serial` — one hash lookup
-//! plus one scattered dot per candidate) is the oracle. Everything the
-//! serving layer does on top — the dense contiguous walk, chunking across
-//! the persistent [`ScoringPool`] at 2 or 8 threads, the batched blocked
+//! The serial f64 walk (`TdpmModel::select_top_k_serial` — one dense-index
+//! row lookup plus one scattered dot per candidate) is the oracle.
+//! Everything the serving layer does on top — the dense contiguous walk,
+//! chunking across the persistent [`ScoringPool`] at 2 or 8 threads, the batched blocked
 //! kernel, and the [`CtxGuard`]-guarded variants of each — must reproduce
 //! its bits exactly:
 //!
@@ -22,7 +22,7 @@
 //! [`ScoringPool`]: crowd_math::ScoringPool
 //! [`CtxGuard`]: crowd_query::CtxGuard
 
-use crowd_core::{RankedWorker, SkillMatrix, TdpmModel, MIN_POOL_CHUNK_ROWS};
+use crowd_core::{Precision, RankedWorker, ScoreSpec, SkillMatrix, TdpmModel, MIN_POOL_CHUNK_ROWS};
 use crowd_query::{CancelToken, QueryContext, QueryEngine, QueryOutput};
 use crowd_store::WorkerId;
 use std::time::Duration;
@@ -131,15 +131,30 @@ fn pooled_chunks_match_the_serial_oracle_at_every_thread_count() {
     // Serial oracle at the model layer: the dense single-threaded walk is
     // pinned bit-identical to `select_top_k_serial` by the core property
     // tests; here it anchors the thread sweep.
-    let oracle = m.select_mean(&lambda, &resolved, k, 1);
+    let spec = |threads| ScoreSpec {
+        threads: Some(threads),
+        ..ScoreSpec::default()
+    };
+    let oracle = m
+        .select(&[&lambda], &resolved, k, &spec(1))
+        .remove(0)
+        .ranked;
     assert_eq!(oracle.len(), k);
 
     let ctx = never_firing();
     for &threads in THREADS {
-        let plain = m.select_mean(&lambda, &resolved, k, threads);
+        let plain = m
+            .select(&[&lambda], &resolved, k, &spec(threads))
+            .remove(0)
+            .ranked;
         assert_bits(&plain, &oracle, &format!("unguarded t{threads}"));
 
-        let guarded = m.select_mean_guarded(&lambda, &resolved, k, threads, &ctx.guard());
+        let guarded_spec = ScoreSpec {
+            precision: Precision::F64,
+            threads: Some(threads),
+            guard: ctx.guard(),
+        };
+        let guarded = m.select(&[&lambda], &resolved, k, &guarded_spec).remove(0);
         assert!(guarded.complete, "t{threads}: nothing fired");
         assert_eq!(guarded.scanned, resolved.len(), "t{threads}: all rows");
         assert_bits(&guarded.ranked, &oracle, &format!("guarded t{threads}"));
@@ -156,20 +171,29 @@ fn batched_pool_matches_per_query_serial_oracle() {
     ];
     let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
     let k = 9;
+    let spec = |threads| ScoreSpec {
+        threads: Some(threads),
+        ..ScoreSpec::default()
+    };
     let oracles: Vec<Vec<RankedWorker>> = refs
         .iter()
-        .map(|q| m.select_mean(q, &resolved, k, 1))
+        .map(|q| m.select(&[q], &resolved, k, &spec(1)).remove(0).ranked)
         .collect();
 
     let ctx = never_firing();
     for &threads in THREADS {
-        let plain = m.select_mean_batch(&refs, &resolved, k, threads);
+        let plain = m.select(&refs, &resolved, k, &spec(threads));
         assert_eq!(plain.len(), oracles.len());
         for (i, (got, oracle)) in plain.iter().zip(&oracles).enumerate() {
-            assert_bits(got, oracle, &format!("batch[{i}] t{threads}"));
+            assert_bits(&got.ranked, oracle, &format!("batch[{i}] t{threads}"));
         }
 
-        let guarded = m.select_mean_batch_guarded(&refs, &resolved, k, threads, &ctx.guard());
+        let guarded_spec = ScoreSpec {
+            precision: Precision::F64,
+            threads: Some(threads),
+            guard: ctx.guard(),
+        };
+        let guarded = m.select(&refs, &resolved, k, &guarded_spec);
         for (i, (got, oracle)) in guarded.iter().zip(&oracles).enumerate() {
             assert!(got.complete, "batch[{i}] t{threads}: nothing fired");
             assert_eq!(got.scanned, resolved.len(), "batch[{i}] t{threads}");
@@ -190,12 +214,28 @@ fn f32_pooled_chunks_are_thread_and_guard_invariant() {
     let (m, resolved) = wide_matrix();
     let lambda = [0.9, -1.7, 0.4];
     let k = 12;
-    let oracle = m.select_mean_f32(&lambda, &resolved, k, 1);
+    let spec = |threads| ScoreSpec {
+        precision: Precision::F32,
+        threads: Some(threads),
+        ..ScoreSpec::default()
+    };
+    let oracle = m
+        .select(&[&lambda], &resolved, k, &spec(1))
+        .remove(0)
+        .ranked;
     let ctx = never_firing();
     for &threads in THREADS {
-        let plain = m.select_mean_f32(&lambda, &resolved, k, threads);
+        let plain = m
+            .select(&[&lambda], &resolved, k, &spec(threads))
+            .remove(0)
+            .ranked;
         assert_bits(&plain, &oracle, &format!("f32 unguarded t{threads}"));
-        let guarded = m.select_mean_f32_guarded(&lambda, &resolved, k, threads, &ctx.guard());
+        let guarded_spec = ScoreSpec {
+            precision: Precision::F32,
+            threads: Some(threads),
+            guard: ctx.guard(),
+        };
+        let guarded = m.select(&[&lambda], &resolved, k, &guarded_spec).remove(0);
         assert!(guarded.complete, "f32 t{threads}: nothing fired");
         assert_bits(&guarded.ranked, &oracle, &format!("f32 guarded t{threads}"));
     }
@@ -218,7 +258,15 @@ fn engine_tdpm_serves_the_serial_oracle_bits() {
     );
     let projection = model.project_bow(&bow);
     let serial = model.select_top_k_serial(&projection, candidates.iter().copied(), 2);
-    let dense = model.select_top_k(&projection, candidates.iter().copied(), 2);
+    let dense = model
+        .select(
+            &[projection.lambda.as_slice()],
+            &candidates,
+            2,
+            &ScoreSpec::default(),
+        )
+        .remove(0)
+        .ranked;
     assert_bits(&dense, &serial, "fitted dense vs serial");
 
     let stmt = "SELECT WORKERS FOR TASK 'btree page split index' LIMIT 2 USING tdpm";

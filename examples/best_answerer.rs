@@ -81,8 +81,15 @@ fn main() {
             .0;
         let projection = model.project_bow(&rt.bow);
         let candidates: Vec<WorkerId> = rt.scores.iter().map(|&(w, _)| w).collect();
-        let ranked = model.rank_all(&projection, candidates.iter().copied());
-        let rank = ranked
+        let lambdas = [projection.lambda.as_slice()];
+        let ranked = model.select(
+            &lambdas,
+            &candidates,
+            candidates.len(),
+            &ScoreSpec::default(),
+        );
+        let rank = ranked[0]
+            .ranked
             .iter()
             .position(|r| r.worker == right)
             .map(|p| p + 1)

@@ -68,8 +68,11 @@ fn main() {
         let tokens = tokenize_filtered(question);
         let bow = BagOfWords::from_tokens(&tokens, db.vocab_mut());
         let projection = model.project_bow(&bow);
-        let ranked = model.select_top_k(&projection, db.worker_ids(), 2);
-        let names: Vec<String> = ranked
+        let candidates: Vec<WorkerId> = db.worker_ids().collect();
+        let lambdas = [projection.lambda.as_slice()];
+        let ranked = model.select(&lambdas, &candidates, 2, &ScoreSpec::default());
+        let names: Vec<String> = ranked[0]
+            .ranked
             .iter()
             .map(|r| format!("{} ({:.2})", db.worker(r.worker).unwrap().handle, r.score))
             .collect();

@@ -51,8 +51,9 @@
 //! // 3. Route a fresh question to the right expert.
 //! let question = db.add_task("why does a btree split pages");
 //! let projection = model.project_bow(&db.task(question).unwrap().bow);
-//! let best = model.select_top_k(&projection, db.worker_ids(), 1);
-//! assert_eq!(best[0].worker, ada);
+//! let lambdas = [projection.lambda.as_slice()];
+//! let best = model.select(&lambdas, &[ada, carl], 1, &ScoreSpec::default());
+//! assert_eq!(best[0].ranked[0].worker, ada);
 //! ```
 //!
 //! ## Backend-agnostic selection
@@ -108,7 +109,7 @@ pub mod prelude {
     pub use crowd_baselines::{
         standard_registry, DrmSelector, TdpmSelector, TspmSelector, VsmSelector,
     };
-    pub use crowd_core::{TaskProjection, TdpmConfig, TdpmModel, TdpmTrainer};
+    pub use crowd_core::{ScoreSpec, TaskProjection, TdpmConfig, TdpmModel, TdpmTrainer};
     pub use crowd_obs::{MetricsSnapshot, Obs};
     pub use crowd_platform::{CrowdManager, ManagerConfig, Pipeline, PipelineConfig};
     pub use crowd_query::QueryEngine;

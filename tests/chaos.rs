@@ -19,8 +19,9 @@
 //!    final worker count equals the initial count plus the successful
 //!    inserts.
 //!
-//! A machine-readable report lands in `results/CHAOS_7.json` (hand-rolled
-//! JSON: no extra dependencies) so CI archives what each seed exercised.
+//! A machine-readable report of what each seed exercised lands in
+//! `chaos_<seed>.json` under cargo's `CARGO_TARGET_TMPDIR` (hand-rolled
+//! JSON: no extra dependencies), never in a tracked file.
 
 use crowdselect::obs::{Obs, Registry, Tracer};
 use crowdselect::query::{
@@ -361,8 +362,6 @@ fn write_report(
         counter("retries"),
         counter("faults_injected"),
     );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join("CHAOS_7.json"), json);
-    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("chaos_{seed}.json"));
+    let _ = std::fs::write(path, json);
 }

@@ -137,10 +137,15 @@ fn incremental_updates_track_skill_drift_better_than_a_frozen_model() {
 
         let pf = frozen.project_words(&task.words);
         let pt = tracking.project_words(&task.words);
-        if frozen.select_top_k(&pf, candidates.clone(), 1)[0].worker == right {
+        let spec = ScoreSpec::default();
+        if frozen.select(&[pf.lambda.as_slice()], &candidates, 1, &spec)[0].ranked[0].worker
+            == right
+        {
             frozen_hits += 1;
         }
-        if tracking.select_top_k(&pt, candidates, 1)[0].worker == right {
+        if tracking.select(&[pt.lambda.as_slice()], &candidates, 1, &spec)[0].ranked[0].worker
+            == right
+        {
             tracking_hits += 1;
         }
         total += 1;

@@ -24,7 +24,7 @@
 //! [`ScoringPool`]: crowdselect::math::ScoringPool
 
 use crowdselect::math::ScoringPool;
-use crowdselect::model::{SkillMatrix, MIN_POOL_CHUNK_ROWS};
+use crowdselect::model::{Precision, ScoreSpec, SkillMatrix, MIN_POOL_CHUNK_ROWS};
 use crowdselect::obs::{Obs, Registry, Tracer};
 use crowdselect::query::{
     CancelToken, QueryContext, QueryEngine, QueryError, QueryOutput, WorkerTable,
@@ -187,7 +187,13 @@ fn concurrent_pool_stress_is_sound_leak_free_and_accounted() {
     let (matrix, resolved) = wide_matrix();
     let shared = Arc::new((matrix, resolved));
     let lambda = [0.9, -1.7];
-    let oracle = Arc::new(shared.0.select_mean(&lambda, &shared.1, 10, 1));
+    let oracle = Arc::new(
+        shared
+            .0
+            .select(&[&lambda], &shared.1, 10, &ScoreSpec::default())[0]
+            .ranked
+            .clone(),
+    );
 
     // Warm the pool *before* the thread snapshot so its lazily-spawned
     // workers don't read as leaks.
@@ -287,10 +293,12 @@ fn concurrent_pool_stress_is_sound_leak_free_and_accounted() {
                         MIN_POOL_CHUNK_ROWS as u64 + rng.next() % (2 * MIN_POOL_CHUNK_ROWS as u64)
                     };
                     let ctx = QueryContext::unbounded().with_row_budget(budget);
-                    let partial =
-                        shared
-                            .0
-                            .select_mean_guarded(&lambda, &shared.1, 10, 8, &ctx.guard());
+                    let spec = ScoreSpec {
+                        precision: Precision::F64,
+                        threads: Some(8),
+                        guard: ctx.guard(),
+                    };
+                    let partial = shared.0.select(&[&lambda], &shared.1, 10, &spec).remove(0);
                     if partial.complete {
                         assert_eq!(partial.scanned, shared.1.len(), "complete scans scan all");
                         assert_eq!(partial.ranked.len(), oracle.len());
