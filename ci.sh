@@ -34,9 +34,10 @@ done
 
 run cargo build --release
 
-# Tests must not write into the worktree: snapshot its state here and
-# compare after the seed loops below, so a test that writes a tracked (or
-# unignored) file fails the gate instead of needing a follow-up commit.
+# Tests and examples must not write into the worktree: snapshot its state
+# here and compare after the seed loops and the example run below, so a
+# test or example that writes a tracked (or unignored) file fails the gate
+# instead of needing a follow-up commit.
 tree_before=$(git status --porcelain)
 
 run cargo test -q --workspace --no-fail-fast
@@ -74,9 +75,13 @@ for seed in 17 42 99; do
     run env POOL_CHAOS_SEED="$seed" cargo test -q -p crowdselect --test pool_chaos
 done
 
-echo "==> worktree unchanged by the test steps"
+# The Figure-1 pipeline example writes its trace and metrics snapshot to
+# the temp directory, never into the worktree.
+run cargo run --release --example live_platform
+
+echo "==> worktree unchanged by the test and example steps"
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
-    echo "the test steps changed the worktree:" >&2
+    echo "the test or example steps changed the worktree:" >&2
     git status --porcelain >&2
     exit 1
 fi

@@ -16,15 +16,15 @@
 //! Both probabilistic baselines score a worker by `w^i (c^j)ᵀ` where the
 //! skill vector is constrained to the simplex — exactly the normalization
 //! the paper argues makes skills incomparable across workers (Section 1).
-//! [`TdpmSelector`] adapts the trained TDPM model to the same interface so
-//! the evaluation harness can treat all four uniformly.
+//! The trained TDPM model, [`crowd_core::TdpmModel`], implements the same
+//! [`CrowdSelector`] trait, so the evaluation harness treats all four
+//! uniformly.
 
 pub mod backends;
 pub mod drm;
 pub mod lda;
 pub mod plsa;
 pub mod selector;
-pub mod tdpm;
 pub mod tspm;
 pub mod vsm;
 
@@ -33,6 +33,5 @@ pub use drm::DrmSelector;
 pub use lda::Lda;
 pub use plsa::Plsa;
 pub use selector::{BatchQuery, CrowdSelector};
-pub use tdpm::TdpmSelector;
 pub use tspm::TspmSelector;
 pub use vsm::VsmSelector;

@@ -16,7 +16,7 @@ fn incremental_vs_batch(c: &mut Criterion) {
         seed: 2,
         ..TdpmConfig::default()
     };
-    let (model, _) = TdpmTrainer::new(cfg.clone()).fit_training_set(&ts).unwrap();
+    let (model, _) = TdpmTrainer::new(cfg.clone()).fit(&ts).unwrap();
     let words: Vec<(usize, u32)> = (0..12).map(|v| (v, 1u32)).collect();
     let worker = model.worker_ids()[0];
 
@@ -38,7 +38,7 @@ fn incremental_vs_batch(c: &mut Criterion) {
 
     group.bench_function("full_batch_refit", |b| {
         b.iter(|| {
-            let (m, _) = TdpmTrainer::new(cfg.clone()).fit_training_set(&ts).unwrap();
+            let (m, _) = TdpmTrainer::new(cfg.clone()).fit(&ts).unwrap();
             black_box(m)
         })
     });

@@ -16,7 +16,7 @@ fn fit(ts: &TrainingSet, k: usize) {
         seed: 1,
         ..TdpmConfig::default()
     };
-    let (model, _) = TdpmTrainer::new(cfg).fit_training_set(ts).unwrap();
+    let (model, _) = TdpmTrainer::new(cfg).fit(ts).unwrap();
     black_box(model);
 }
 
@@ -63,7 +63,7 @@ fn inference_scaling(c: &mut Criterion) {
                     ..TdpmConfig::default()
                 };
                 b.iter(|| {
-                    let (model, _) = TdpmTrainer::new(cfg.clone()).fit_training_set(&ts).unwrap();
+                    let (model, _) = TdpmTrainer::new(cfg.clone()).fit(&ts).unwrap();
                     black_box(model)
                 })
             },

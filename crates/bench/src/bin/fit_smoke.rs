@@ -14,7 +14,8 @@
 //!   bought by drifting the arithmetic.
 //! - **Memory tier** (1M workers / 1M tasks / ~10M assignments): the
 //!   platform is materialized into an 8-shard [`ShardedDb`] and fitted for
-//!   one EM epoch via [`TdpmTrainer::fit_sharded`]; the process peak RSS
+//!   one EM epoch via [`TdpmTrainer::fit`] on [`TrainingSet::from_sharded`]
+//!   with `num_shards = 8`; the process peak RSS
 //!   (`VmHWM`, via [`crowd_obs::peak_rss_bytes`]) must stay under
 //!   [`GATE_PEAK_RSS_BYTES`] — the bounded-memory claim of DESIGN §11.
 //!
@@ -127,14 +128,14 @@ fn measure_speedup(ts: &TrainingSet) -> SpeedupCell {
     let mut fit_s1 = || {
         black_box(
             TdpmTrainer::new(fit_config(1))
-                .fit_training_set(ts)
+                .fit(ts)
                 .expect("1-shard fit"),
         );
     };
     let mut fit_s8 = || {
         black_box(
             TdpmTrainer::new(fit_config(SHARDS))
-                .fit_training_set(ts)
+                .fit(ts)
                 .expect("8-shard fit"),
         );
     };
@@ -173,7 +174,7 @@ struct MemoryTier {
 }
 
 /// Materializes the million-worker platform into an 8-shard store and runs
-/// one EM epoch through the sharded entry point.
+/// one EM epoch on its [`TrainingSet::from_sharded`] view.
 fn run_memory_tier(cfg: &ScaleConfig) -> MemoryTier {
     let g = ScaleGenerator::new(*cfg);
     let mut db = ShardedDb::new(SHARDS);
@@ -188,7 +189,7 @@ fn run_memory_tier(cfg: &ScaleConfig) -> MemoryTier {
     };
     let t1 = Instant::now();
     let (_model, report) = TdpmTrainer::new(config)
-        .fit_sharded(&db)
+        .fit(&TrainingSet::from_sharded(&db))
         .expect("million-worker fit");
     let fit_ms = t1.elapsed().as_secs_f64() * 1e3;
 
@@ -196,7 +197,7 @@ fn run_memory_tier(cfg: &ScaleConfig) -> MemoryTier {
         num_assignments,
         populate_ms,
         fit_ms,
-        elbo: report.elbo_trace.last().copied().unwrap_or(f64::NAN),
+        elbo: report.objective_trace.last().copied().unwrap_or(f64::NAN),
         peak_rss_bytes: crowd_obs::peak_rss_bytes(),
     }
 }
@@ -263,12 +264,12 @@ fn main() {
     // Bit-identity check once, outside the timing loop: the traces are a
     // complete fingerprint of the fit (every parameter feeds the ELBO).
     let (_, report_s1) = TdpmTrainer::new(fit_config(1))
-        .fit_training_set(&ts)
+        .fit(&ts)
         .expect("1-shard fit");
     let (_, report_s8) = TdpmTrainer::new(fit_config(SHARDS))
-        .fit_training_set(&ts)
+        .fit(&ts)
         .expect("8-shard fit");
-    let traces_identical = report_s1.elbo_trace == report_s8.elbo_trace;
+    let traces_identical = report_s1.objective_trace == report_s8.objective_trace;
     println!(
         "fit_smoke: elbo traces {} (s1 last = {:?})",
         if traces_identical {
@@ -276,7 +277,7 @@ fn main() {
         } else {
             "DIVERGED"
         },
-        report_s1.elbo_trace.last()
+        report_s1.objective_trace.last()
     );
 
     // The speedup tier is measured BEFORE the million-worker tier: the

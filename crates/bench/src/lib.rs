@@ -7,8 +7,8 @@
 //! group, for all four algorithms. The remaining benches are ablations
 //! motivated in DESIGN.md (inference scaling, incremental vs batch).
 
-use crowd_baselines::{CrowdSelector, DrmSelector, TdpmSelector, TspmSelector, VsmSelector};
-use crowd_core::{ModelParams, TaskProjection, TdpmConfig, TdpmModel};
+use crowd_baselines::{CrowdSelector, DrmSelector, TspmSelector, VsmSelector};
+use crowd_core::{ModelParams, TaskProjection, TdpmConfig, TdpmModel, TdpmTrainer, TrainingSet};
 use crowd_eval::protocol::{EvalProtocol, TestQuestion};
 use crowd_math::Vector;
 use crowd_sim::{GeneratedPlatform, PlatformGenerator, PlatformKind, SimConfig};
@@ -34,11 +34,19 @@ pub fn bench_platform(kind: PlatformKind) -> GeneratedPlatform {
 /// always do, so hitting this means a broken generator config.
 pub fn fit_selectors(platform: &GeneratedPlatform, k: usize) -> Vec<Box<dyn CrowdSelector>> {
     let db = &platform.db;
+    let tdpm = TdpmConfig {
+        num_categories: k,
+        seed: 404,
+        ..TdpmConfig::default()
+    };
+    let (model, _) = TdpmTrainer::new(tdpm)
+        .fit(&TrainingSet::from_db(db))
+        .expect("resolved tasks exist");
     vec![
         Box::new(VsmSelector::fit(db)),
         Box::new(TspmSelector::fit(db, k, 404)),
         Box::new(DrmSelector::fit(db, k, 404)),
-        Box::new(TdpmSelector::fit(db, k, 404).expect("resolved tasks exist")),
+        Box::new(model),
     ]
 }
 

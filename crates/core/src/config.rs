@@ -69,7 +69,9 @@ pub struct TdpmConfig {
     /// per-shard fixed-block sufficient statistics in shard-index order.
     /// Because every global sum uses the same fixed-block reduction tree as
     /// the serial path, the fitted model is **bit-identical for every shard
-    /// count**. Defaults to `1`.
+    /// count**. This is the fit's only fan-out setting: the shard count of
+    /// the store a [`crate::TrainingSet`] came from is not consulted.
+    /// Defaults to `1`.
     pub num_shards: usize,
 }
 

@@ -20,7 +20,7 @@
 //! # Quick start
 //!
 //! ```
-//! use crowd_core::{ScoreSpec, TdpmConfig, TdpmTrainer};
+//! use crowd_core::{ScoreSpec, TdpmConfig, TdpmTrainer, TrainingSet};
 //! use crowd_store::CrowdDb;
 //!
 //! let mut db = CrowdDb::new();
@@ -34,7 +34,9 @@
 //! }
 //!
 //! let config = TdpmConfig { num_categories: 2, seed: 7, ..TdpmConfig::default() };
-//! let model = TdpmTrainer::new(config).fit(&db).unwrap();
+//! let (model, _) = TdpmTrainer::new(config)
+//!     .fit(&TrainingSet::from_db(&db))
+//!     .unwrap();
 //!
 //! let projection = model.project_bow(&db.task(t).unwrap().bow);
 //! let candidates: Vec<_> = db.worker_ids().collect();
@@ -58,10 +60,10 @@ pub mod trainer;
 pub mod validate;
 pub mod variational;
 
-pub use backend::{TdpmBackend, TdpmSelector};
+pub use backend::TdpmBackend;
 pub use config::TdpmConfig;
 pub use crowd_math::validate::Validate;
-pub use crowd_select::CrowdSelector;
+pub use crowd_select::{CrowdSelector, FitDiagnostics};
 pub use dataset::TrainingSet;
 pub use error::CoreError;
 pub use model::{Precision, TaskProjection, TdpmModel};
@@ -69,7 +71,7 @@ pub use params::ModelParams;
 pub use persist::ModelSnapshot;
 pub use selection::RankedWorker;
 pub use skillmatrix::{PartialRanking, ScoreSpec, SkillMatrix, MIN_POOL_CHUNK_ROWS};
-pub use trainer::{FitReport, TdpmTrainer};
+pub use trainer::TdpmTrainer;
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -170,7 +170,7 @@ mod tests {
             seed: 4,
             ..TdpmConfig::default()
         };
-        TdpmTrainer::new(cfg).fit_training_set(&ts).unwrap().0
+        TdpmTrainer::new(cfg).fit(&ts).unwrap().0
     }
 
     #[test]

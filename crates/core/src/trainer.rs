@@ -15,24 +15,11 @@ use crate::params::ModelParams;
 use crate::variational::{PhiRowAccess, VariationalState};
 use crate::{CoreError, Result};
 use crowd_math::{Matrix, Validate, Vector};
-use crowd_store::{CrowdDb, ShardedDb};
+use crowd_select::FitDiagnostics;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Diagnostics from a training run.
-#[derive(Debug, Clone)]
-pub struct FitReport {
-    /// EM iterations performed.
-    pub iterations: usize,
-    /// ELBO after each iteration (should be non-decreasing up to numerical
-    /// tolerance of the alternating scheme).
-    pub elbo_trace: Vec<f64>,
-    /// `true` if the relative-improvement criterion fired before the
-    /// iteration budget ran out.
-    pub converged: bool,
-}
 
 /// Runs the task E-step for a contiguous range of tasks.
 ///
@@ -376,39 +363,16 @@ impl TdpmTrainer {
         &self.config
     }
 
-    /// Fits a model on every resolved task in `db`.
-    pub fn fit(&self, db: &CrowdDb) -> Result<TdpmModel> {
-        let ts = TrainingSet::from_db(db);
-        self.fit_training_set(&ts).map(|(m, _)| m)
-    }
-
-    /// Fits a model on a sharded store, returning diagnostics.
+    /// Fits a model by variational EM (Algorithm 2), returning it with the
+    /// run's diagnostics (`objective_trace` is the ELBO after each epoch).
     ///
-    /// The fit plan mirrors the store's partitioning: unless the
-    /// configuration explicitly asks for a different shard count
-    /// (`num_shards > 1`), the E-step/M-step run with one plan shard per
-    /// store shard. Either way the result is bit-identical to an unsharded
-    /// fit of the same data — [`crowd_store::ShardedDb::resolved_tasks`] is
-    /// shard-count invariant and the reduction scheme is fixed-block
+    /// Build `ts` with [`TrainingSet::from_db`], [`TrainingSet::from_sharded`]
+    /// or [`TrainingSet::from_parts`]. `config.num_shards` is the only
+    /// fan-out setting: the result is bit-identical for every shard count,
+    /// and for a plain or a sharded store holding the same platform
     /// (DESIGN §11).
     // crowd-lint: root(det)
-    pub fn fit_sharded(&self, db: &ShardedDb) -> Result<(TdpmModel, FitReport)> {
-        let ts = TrainingSet::from_sharded(db);
-        if self.config.num_shards > 1 {
-            return self.fit_training_set(&ts);
-        }
-        let trainer = TdpmTrainer {
-            config: TdpmConfig {
-                num_shards: db.num_shards(),
-                ..self.config.clone()
-            },
-            obs: self.obs.clone(),
-        };
-        trainer.fit_training_set(&ts)
-    }
-
-    /// Fits a model on a prepared training set, returning diagnostics.
-    pub fn fit_training_set(&self, ts: &TrainingSet) -> Result<(TdpmModel, FitReport)> {
+    pub fn fit(&self, ts: &TrainingSet) -> Result<(TdpmModel, FitDiagnostics)> {
         self.config.validate()?;
         if ts.num_tasks() == 0 {
             return Err(CoreError::EmptyTrainingSet);
@@ -591,9 +555,9 @@ impl TdpmTrainer {
             Validate::validate(&model)
         });
         self.obs.metrics.counter("trainer", "fits").inc();
-        let report = FitReport {
+        let report = FitDiagnostics {
             iterations,
-            elbo_trace: trace,
+            objective_trace: trace,
             converged,
         };
         Ok((model, report))
@@ -646,7 +610,7 @@ mod tests {
     use super::*;
     use crate::dataset::TaskData;
     use crate::ScoreSpec;
-    use crowd_store::{TaskId, WorkerId};
+    use crowd_store::{CrowdDb, ShardedDb, TaskId, WorkerId};
 
     /// Two clearly separated "topics" (terms 0–1 vs terms 2–3) with two
     /// specialist workers: w0 scores high on topic-A tasks, w1 on topic-B.
@@ -686,24 +650,22 @@ mod tests {
     #[test]
     fn empty_training_set_errors() {
         let ts = TrainingSet::from_parts(vec![], 0, 0);
-        let err = TdpmTrainer::new(quick_config(2)).fit_training_set(&ts);
+        let err = TdpmTrainer::new(quick_config(2)).fit(&ts);
         assert!(matches!(err, Err(CoreError::EmptyTrainingSet)));
     }
 
     #[test]
     fn elbo_is_monotone_nondecreasing() {
         let ts = separable_ts();
-        let (_, report) = TdpmTrainer::new(quick_config(2))
-            .fit_training_set(&ts)
-            .unwrap();
-        for w in report.elbo_trace.windows(2) {
+        let (_, report) = TdpmTrainer::new(quick_config(2)).fit(&ts).unwrap();
+        for w in report.objective_trace.windows(2) {
             let tol = 1e-6 * w[0].abs().max(1.0);
             assert!(
                 w[1] >= w[0] - tol,
                 "ELBO decreased: {} → {} (trace {:?})",
                 w[0],
                 w[1],
-                report.elbo_trace
+                report.objective_trace
             );
         }
     }
@@ -711,9 +673,7 @@ mod tests {
     #[test]
     fn specialists_get_separated_skills() {
         let ts = separable_ts();
-        let (model, _) = TdpmTrainer::new(quick_config(2))
-            .fit_training_set(&ts)
-            .unwrap();
+        let (model, _) = TdpmTrainer::new(quick_config(2)).fit(&ts).unwrap();
         // Project a pure topic-A task and a pure topic-B task.
         let pa = model.project_words(&[(0, 4), (1, 4)]);
         let pb = model.project_words(&[(2, 4), (3, 4)]);
@@ -738,13 +698,9 @@ mod tests {
     #[test]
     fn training_is_deterministic_for_fixed_seed() {
         let ts = separable_ts();
-        let (m1, r1) = TdpmTrainer::new(quick_config(2))
-            .fit_training_set(&ts)
-            .unwrap();
-        let (m2, r2) = TdpmTrainer::new(quick_config(2))
-            .fit_training_set(&ts)
-            .unwrap();
-        assert_eq!(r1.elbo_trace, r2.elbo_trace);
+        let (m1, r1) = TdpmTrainer::new(quick_config(2)).fit(&ts).unwrap();
+        let (m2, r2) = TdpmTrainer::new(quick_config(2)).fit(&ts).unwrap();
+        assert_eq!(r1.objective_trace, r2.objective_trace);
         let s1 = m1.skill(WorkerId(0)).unwrap().mean.clone();
         let s2 = m2.skill(WorkerId(0)).unwrap().mean.clone();
         assert_eq!(s1.as_slice(), s2.as_slice());
@@ -770,7 +726,9 @@ mod tests {
             db.record_feedback(bad, t, 0.0).unwrap();
             tasks.push(t);
         }
-        let model = TdpmTrainer::new(quick_config(2)).fit(&db).unwrap();
+        let (model, _) = TdpmTrainer::new(quick_config(2))
+            .fit(&TrainingSet::from_db(&db))
+            .unwrap();
         let proj = model.project_bow(&db.task(tasks[0]).unwrap().bow);
         let candidates: Vec<WorkerId> = db.worker_ids().collect();
         let top = model.select(
@@ -789,9 +747,7 @@ mod tests {
     fn single_category_model_trains() {
         // K = 1 degenerates gracefully (pure trust model).
         let ts = separable_ts();
-        let (model, report) = TdpmTrainer::new(quick_config(1))
-            .fit_training_set(&ts)
-            .unwrap();
+        let (model, report) = TdpmTrainer::new(quick_config(1)).fit(&ts).unwrap();
         assert!(report.iterations >= 1);
         assert_eq!(model.num_categories(), 1);
     }
@@ -804,11 +760,65 @@ mod tests {
             elbo_rel_tol: 1e-5,
             ..quick_config(2)
         };
-        let (_, report) = TdpmTrainer::new(cfg).fit_training_set(&ts).unwrap();
+        let (_, report) = TdpmTrainer::new(cfg).fit(&ts).unwrap();
         assert!(
             report.converged,
             "should converge in 200 iters; trace: {:?}",
-            report.elbo_trace
+            report.objective_trace
         );
+    }
+
+    #[test]
+    fn sharded_fit_is_bit_identical_to_unsharded() {
+        // The same platform, once in a plain CrowdDb and once hash-cut over
+        // 4 shards. Insertion order is identical, so global ids and the
+        // vocabulary line up; the fits must then agree bitwise.
+        let mut db = CrowdDb::new();
+        let mut sharded = ShardedDb::new(4);
+        let dba = db.add_worker("dba");
+        let stat = db.add_worker("stat");
+        sharded.add_worker("dba").unwrap();
+        sharded.add_worker("stat").unwrap();
+        for i in 0..10 {
+            let (text, good, bad) = if i % 2 == 0 {
+                ("btree page split index buffer disk", dba, stat)
+            } else {
+                ("gaussian prior posterior likelihood variance", stat, dba)
+            };
+            let t = db.add_task(text);
+            db.assign(good, t).unwrap();
+            db.assign(bad, t).unwrap();
+            db.record_feedback(good, t, 4.0).unwrap();
+            db.record_feedback(bad, t, 0.5).unwrap();
+            let t = sharded.add_task(text).unwrap();
+            sharded.assign(good, t).unwrap();
+            sharded.assign(bad, t).unwrap();
+            sharded.record_feedback(good, t, 4.0).unwrap();
+            sharded.record_feedback(bad, t, 0.5).unwrap();
+        }
+
+        let config = TdpmConfig {
+            num_categories: 2,
+            seed: 7,
+            ..TdpmConfig::default()
+        };
+        let (plain, plain_report) = TdpmTrainer::new(config.clone())
+            .fit(&TrainingSet::from_db(&db))
+            .unwrap();
+        let (cut, cut_report) = TdpmTrainer::new(TdpmConfig {
+            num_shards: 4,
+            ..config
+        })
+        .fit(&TrainingSet::from_sharded(&sharded))
+        .unwrap();
+        assert_eq!(
+            plain_report.objective_trace, cut_report.objective_trace,
+            "ELBO traces must agree bitwise"
+        );
+        let (ps, cs) = (plain.skill_matrix(), cut.skill_matrix());
+        assert_eq!(ps.ids(), cs.ids());
+        for row in 0..ps.ids().len() {
+            assert_eq!(ps.mean_row(row), cs.mean_row(row), "row {row}");
+        }
     }
 }

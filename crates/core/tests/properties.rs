@@ -120,15 +120,15 @@ proptest! {
             seed: 5,
             ..TdpmConfig::default()
         };
-        let (model, report) = TdpmTrainer::new(cfg).fit_training_set(&ts).unwrap();
+        let (model, report) = TdpmTrainer::new(cfg).fit(&ts).unwrap();
         for &w in model.worker_ids() {
             let skill = model.skill(w).unwrap();
             prop_assert!(skill.mean.is_finite(), "finite skills");
             prop_assert!(skill.variance.as_slice().iter().all(|&v| v > 0.0));
         }
-        for w in report.elbo_trace.windows(2) {
+        for w in report.objective_trace.windows(2) {
             let slack = 1e-4 * w[0].abs().max(1.0);
-            prop_assert!(w[1] >= w[0] - slack, "ELBO non-decreasing: {:?}", report.elbo_trace);
+            prop_assert!(w[1] >= w[0] - slack, "ELBO non-decreasing: {:?}", report.objective_trace);
         }
         // Projection of arbitrary (even out-of-vocab) words never panics.
         let p = model.project_words(&[(0, 1), (999, 3)]);
@@ -154,7 +154,7 @@ proptest! {
             seed: 11,
             ..TdpmConfig::default()
         };
-        let (model, _) = TdpmTrainer::new(cfg).fit_training_set(&ts).unwrap();
+        let (model, _) = TdpmTrainer::new(cfg).fit(&ts).unwrap();
         let projection = TaskProjection {
             lambda: Vector::from_vec(lambda),
             nu2: Vector::zeros(3),
@@ -265,7 +265,7 @@ proptest! {
 
     /// The debug-build invariant validator must never fire on a healthy
     /// seeded fit — neither during training (the E-/M-step hooks panic on
-    /// violation, so `fit_training_set` returning `Ok` is itself the
+    /// violation, so `fit` returning `Ok` is itself the
     /// assertion) nor after a chain of incremental feedback updates. The
     /// checks are read-only, so a validated model must also still satisfy
     /// an explicit re-validation.
@@ -285,7 +285,7 @@ proptest! {
         // Training runs the per-iteration state/params hooks internally.
         let (mut model, _) = TdpmTrainer::new(cfg)
             .with_obs(obs.clone())
-            .fit_training_set(&ts)
+            .fit(&ts)
             .unwrap();
         prop_assert!(model.validate().is_ok());
 

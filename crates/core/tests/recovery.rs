@@ -49,9 +49,7 @@ fn fitted_model_matches_planted_selection() {
         seed: 5,
         ..TdpmConfig::default()
     };
-    let (model, report) = TdpmTrainer::new(fit_cfg)
-        .fit_training_set(&data.training)
-        .unwrap();
+    let (model, report) = TdpmTrainer::new(fit_cfg).fit(&data.training).unwrap();
     assert!(report.iterations >= 2);
 
     // Fresh evaluation tasks straight from each planted category.
@@ -108,9 +106,7 @@ fn fitted_scores_correlate_with_observed_feedback() {
         seed: 3,
         ..TdpmConfig::default()
     };
-    let (model, _) = TdpmTrainer::new(fit_cfg)
-        .fit_training_set(&data.training)
-        .unwrap();
+    let (model, _) = TdpmTrainer::new(fit_cfg).fit(&data.training).unwrap();
 
     // In-sample: predicted w·c (via re-projection of the task words) should
     // correlate strongly with the observed scores.
@@ -139,14 +135,12 @@ fn parallel_estep_matches_sequential_exactly() {
             num_threads: threads,
             ..TdpmConfig::default()
         };
-        TdpmTrainer::new(cfg)
-            .fit_training_set(&data.training)
-            .unwrap()
+        TdpmTrainer::new(cfg).fit(&data.training).unwrap()
     };
     let (seq, seq_report) = fit(1);
     let (par, par_report) = fit(4);
     assert_eq!(
-        seq_report.elbo_trace, par_report.elbo_trace,
+        seq_report.objective_trace, par_report.objective_trace,
         "identical ELBO trace"
     );
     for &w in seq.worker_ids() {
@@ -167,9 +161,7 @@ fn incremental_updates_track_new_specialty() {
         seed: 1,
         ..TdpmConfig::default()
     };
-    let (mut model, _) = TdpmTrainer::new(fit_cfg)
-        .fit_training_set(&data.training)
-        .unwrap();
+    let (mut model, _) = TdpmTrainer::new(fit_cfg).fit(&data.training).unwrap();
 
     // A brand-new worker repeatedly excels at category-0 tasks.
     let newbie = crowd_store::WorkerId(500);

@@ -14,7 +14,7 @@
 //! every shard beyond the first would be empty and the test vacuous.
 
 use crowd_core::dataset::{TaskData, TrainingSet};
-use crowd_core::{FitReport, TdpmConfig, TdpmModel, TdpmTrainer};
+use crowd_core::{FitDiagnostics, TdpmConfig, TdpmModel, TdpmTrainer};
 use crowd_store::TaskId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,7 +55,7 @@ fn synth_ts(num_workers: usize, num_tasks: usize, vocab: usize, seed: u64) -> Tr
     TrainingSet::from_parts(tasks, num_workers, vocab)
 }
 
-fn fit(ts: &TrainingSet, shards: usize, threads: usize) -> (TdpmModel, FitReport) {
+fn fit(ts: &TrainingSet, shards: usize, threads: usize) -> (TdpmModel, FitDiagnostics) {
     let cfg = TdpmConfig {
         num_categories: 2,
         max_em_iters: 3,
@@ -65,16 +65,23 @@ fn fit(ts: &TrainingSet, shards: usize, threads: usize) -> (TdpmModel, FitReport
         num_threads: threads,
         ..TdpmConfig::default()
     };
-    TdpmTrainer::new(cfg).fit_training_set(ts).unwrap()
+    TdpmTrainer::new(cfg).fit(ts).unwrap()
 }
 
 /// Bitwise comparison of two fits: ELBO trace, posteriors, parameters.
-fn assert_identical(oracle: &(TdpmModel, FitReport), got: &(TdpmModel, FitReport), label: &str) {
+fn assert_identical(
+    oracle: &(TdpmModel, FitDiagnostics),
+    got: &(TdpmModel, FitDiagnostics),
+    label: &str,
+) {
     let (om, or) = oracle;
     let (gm, gr) = got;
     assert_eq!(or.iterations, gr.iterations, "{label}: iterations");
     assert_eq!(or.converged, gr.converged, "{label}: converged flag");
-    assert_eq!(or.elbo_trace, gr.elbo_trace, "{label}: ELBO trace");
+    assert_eq!(
+        or.objective_trace, gr.objective_trace,
+        "{label}: ELBO trace"
+    );
 
     // SkillMatrix: same workers, bit-identical rows.
     let (os, gs) = (om.skill_matrix(), gm.skill_matrix());

@@ -1,8 +1,8 @@
 //! Experiment drivers: one per table / figure of the paper's Section 7.
 
 use crate::protocol::{EvalMode, EvalProtocol};
-use crowd_baselines::{CrowdSelector, DrmSelector, TdpmSelector, TspmSelector, VsmSelector};
-use crowd_core::{TdpmConfig, TdpmTrainer};
+use crowd_baselines::{CrowdSelector, DrmSelector, TspmSelector, VsmSelector};
+use crowd_core::{TdpmConfig, TdpmTrainer, TrainingSet};
 use crowd_sim::{GeneratedPlatform, PlatformGenerator, PlatformKind, SimConfig};
 use crowd_store::groups::group_stats_sweep;
 use crowd_store::{GroupStats, WorkerGroup};
@@ -290,14 +290,10 @@ impl PlatformExperiments {
             seed,
             ..TdpmConfig::default()
         };
-        let model = TdpmTrainer::new(cfg)
-            .fit(db)
+        let (model, _) = TdpmTrainer::new(cfg)
+            .fit(&TrainingSet::from_db(db))
             .expect("generated platforms always have resolved tasks");
-        vec![
-            Box::new(tspm),
-            Box::new(drm),
-            Box::new(TdpmSelector::new(model)),
-        ]
+        vec![Box::new(tspm), Box::new(drm), Box::new(model)]
     }
 
     fn protocol(&self) -> EvalProtocol {

@@ -2,9 +2,9 @@
 //!
 //! The lexical rules catch hazards where they sit; this layer catches them
 //! where they *matter*: a `HashMap` iteration is harmless in a debug dump
-//! and fatal three calls below `fit_sharded`. The workspace model collects
-//! every [`FnDef`] from every scanned file, resolves call sites to
-//! definitions (typed receivers first, name matching as a deliberate
+//! and fatal three calls below the trainer's `fit`. The workspace model
+//! collects every [`FnDef`] from every scanned file, resolves call sites
+//! to definitions (typed receivers first, name matching as a deliberate
 //! over-approximation), and runs a BFS per rule pack from its root set.
 //! Every diagnostic carries the witness chain (`root → … → offender`) so
 //! a finding three hops deep is as actionable as a lexical one.
@@ -13,8 +13,8 @@
 //!
 //! * **det** — determinism: functions reachable from parallel-reduce roots
 //!   must not iterate hash collections, feed hash order into float
-//!   reduces, or mix `mul_add` into shared kernels. Built-in seeds:
-//!   `fit_sharded`, `resolved_tasks`.
+//!   reduces, or mix `mul_add` into shared kernels. Built-in seeds: `fit`
+//!   in `crates/core`, `resolved_tasks`.
 //! * **wait** — bounded wait: functions reachable from serve roots must
 //!   not block without a timeout, and their bare `loop`s must hit a
 //!   checkpoint (`WorkGuard` poll or timeout-bounded wait) every
@@ -183,7 +183,8 @@ impl Workspace {
                 continue;
             }
             match f.def.name.as_str() {
-                "fit_sharded" | "resolved_tasks" => det_roots.push(i),
+                "fit" if f.crate_name == "core" => det_roots.push(i),
+                "resolved_tasks" => det_roots.push(i),
                 "execute_ctx" => wait_roots.push(i),
                 n if n.starts_with("select_") && f.crate_name == "query" => wait_roots.push(i),
                 _ => {}
@@ -560,7 +561,7 @@ mod tests {
         let files = [sf(
             "crates/core/src/trainer.rs",
             "\
-pub fn fit_sharded(n: usize) -> f64 {
+pub fn fit(n: usize) -> f64 {
     mid(n)
 }
 fn mid(n: usize) -> f64 {
@@ -578,7 +579,7 @@ fn tally(m: &HashMap<u64, f64>) -> f64 {
             .find(|d| d.rule == "det-no-unordered-float-sum")
             .expect("two-hop hash sum must be reachable");
         assert_eq!(hit.line, 9);
-        assert_eq!(hit.witness, vec!["fit_sharded", "mid", "tally"]);
+        assert_eq!(hit.witness, vec!["fit", "mid", "tally"]);
     }
 
     #[test]
@@ -586,7 +587,7 @@ fn tally(m: &HashMap<u64, f64>) -> f64 {
         let files = [sf(
             "crates/core/src/trainer.rs",
             "\
-pub fn fit_sharded(n: usize) -> f64 {
+pub fn fit(n: usize) -> f64 {
     n as f64
 }
 fn debug_dump(m: &HashMap<u64, f64>) -> f64 {
@@ -638,7 +639,7 @@ static X: u32 = 0;
             sf(
                 "crates/core/src/trainer.rs",
                 "\
-pub fn fit_sharded() {
+pub fn fit() {
     ScoringPool::global().run(1);
     run(2);
 }
@@ -665,7 +666,7 @@ impl ScoringPool {
             .iter()
             .find(|d| d.rule == "det-no-hash-iter")
             .expect("pool method must be det-reachable via typed receiver");
-        assert_eq!(hit.witness, vec!["fit_sharded", "ScoringPool::run"]);
+        assert_eq!(hit.witness, vec!["fit", "ScoringPool::run"]);
     }
 
     #[test]
@@ -729,13 +730,33 @@ fn bounded() {
     }
 
     #[test]
+    fn fit_is_a_det_root_only_in_core() {
+        let src = "\
+pub fn fit(m: &HashMap<u64, f64>) {
+    for v in m.values() {
+        let _ = v;
+    }
+}
+";
+        let core = sf("crates/core/src/trainer.rs", src);
+        let other = sf("crates/baselines/src/vsm.rs", src);
+        let diags = run(&[core, other]);
+        let hits: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == "det-no-hash-iter")
+            .collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].path.contains("core"));
+    }
+
+    #[test]
     fn test_fns_are_not_roots_or_targets() {
         let files = [sf(
             "crates/core/src/trainer.rs",
             "\
 #[cfg(test)]
 mod tests {
-    fn fit_sharded() {
+    fn fit() {
         let m: HashMap<u64, f64> = HashMap::new();
         let _: f64 = m.values().sum();
     }

@@ -209,7 +209,7 @@ impl QueryEngine {
 
     /// Compiles a statement into its logical plan without executing it.
     pub fn compile(&self, stmt: &Statement) -> LogicalPlan {
-        plan::compile_with(stmt, &self.registry, self.precision)
+        plan::compile(stmt, &self.registry, self.precision)
     }
 
     /// The deterministic plan rendering for a statement — what
@@ -310,7 +310,7 @@ impl QueryEngine {
         ctx: &QueryContext,
     ) -> Result<Vec<WorkerTable>, QueryError> {
         let backend = BackendName::new(backend);
-        let plan = plan::compile_select_batch_with(
+        let plan = plan::compile_select_batch(
             texts,
             limit,
             &backend,

@@ -21,9 +21,9 @@
 //! EXPLAIN SELECT WORKERS FOR TASK 'why does a btree split pages' LIMIT 2
 //! ```
 //!
-//! Pipeline: [`parse`] → [`Statement`] → compile ([`plan::compile`]) →
-//! [`LogicalPlan`] → execute (`exec`, instrumented per plan node) →
-//! [`QueryOutput`]. [`QueryEngine::run`] is a thin facade over that
+//! Pipeline: [`parse`] → [`Statement`] → compile ([`plan::compile`], under
+//! the engine's serving [`Precision`]) → [`LogicalPlan`] → execute (`exec`,
+//! instrumented per plan node) → [`QueryOutput`]. [`QueryEngine::run`] is a thin facade over that
 //! pipeline; `EXPLAIN <statement>` stops after compilation and renders the
 //! plan deterministically. The engine owns a [`crowd_store::CrowdDb`] and a
 //! [`crowd_select::SelectorRegistry`]; a `USING <backend>` clause is

@@ -52,20 +52,11 @@ impl PlanBuilder {
 ///
 /// `registry` is consulted only for compile-time plan *properties* (a
 /// backend's lazy-fit flag, the projection-cache decision); resolution
-/// errors still surface at execution time.
-pub fn compile(stmt: &Statement, registry: &SelectorRegistry) -> LogicalPlan {
-    compile_with(stmt, registry, Precision::F64)
-}
-
-/// [`compile`] under an explicit serving-precision policy (what the engine
-/// passes from [`crate::QueryEngine::set_precision`]); the precision is a
-/// compile-time plan property stamped onto `Score` nodes and rendered by
-/// `EXPLAIN`.
-pub fn compile_with(
-    stmt: &Statement,
-    registry: &SelectorRegistry,
-    precision: Precision,
-) -> LogicalPlan {
+/// errors still surface at execution time. `precision` is the serving
+/// policy (what the engine passes from
+/// [`crate::QueryEngine::set_precision`]), a compile-time plan property
+/// stamped onto `Score` nodes and rendered by `EXPLAIN`.
+pub fn compile(stmt: &Statement, registry: &SelectorRegistry, precision: Precision) -> LogicalPlan {
     match stmt {
         Statement::InsertWorker { handle } => mutation(MutationOp::InsertWorker {
             handle: handle.clone(),
@@ -125,7 +116,7 @@ pub fn compile_with(
             let mut b = PlanBuilder::new();
             let out = b.var();
             b.push(PlanNode::Explain {
-                plan: Box::new(compile_with(inner, registry, precision)),
+                plan: Box::new(compile(inner, registry, precision)),
                 out,
             });
             b.finish()
@@ -138,19 +129,9 @@ pub fn compile_with(
 /// [`crate::QueryEngine::select_workers_batch`]. Equivalent to compiling
 /// and executing the statements one at a time (bit-identical rankings), but
 /// the candidate pool is scanned once and all queries flow through the
-/// batched scoring kernels.
+/// batched scoring kernels. `registry` and `precision` play the same roles
+/// as in [`compile`].
 pub fn compile_select_batch(
-    texts: &[&str],
-    limit: usize,
-    backend: &BackendName,
-    min_group: Option<usize>,
-    registry: &SelectorRegistry,
-) -> LogicalPlan {
-    compile_select_batch_with(texts, limit, backend, min_group, registry, Precision::F64)
-}
-
-/// [`compile_select_batch`] under an explicit serving-precision policy.
-pub fn compile_select_batch_with(
     texts: &[&str],
     limit: usize,
     backend: &BackendName,
@@ -257,7 +238,7 @@ mod tests {
     use crowd_baselines::standard_registry;
 
     fn plan_for(stmt: &str) -> LogicalPlan {
-        compile(&parse(stmt).unwrap(), &standard_registry())
+        compile(&parse(stmt).unwrap(), &standard_registry(), Precision::F64)
     }
 
     #[test]
@@ -332,6 +313,7 @@ mod tests {
             &BackendName::new("vsm"),
             None,
             &standard_registry(),
+            Precision::F64,
         );
         let Some(PlanNode::Project { texts, .. }) = plan.nodes.get(2) else {
             panic!("expected Project, got {plan:?}");

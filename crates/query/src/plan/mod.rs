@@ -34,7 +34,7 @@
 
 mod compile;
 
-pub use compile::{compile, compile_select_batch, compile_select_batch_with, compile_with};
+pub use compile::{compile, compile_select_batch};
 
 use crate::ast::{BackendName, ShowTarget};
 use crowd_select::DbMutation;

@@ -99,6 +99,7 @@ fn fused_select_batches_have_a_stable_rendering() {
         &BackendName::new("tdpm"),
         Some(2),
         engine.registry(),
+        crowd_query::Precision::F64,
     );
     check("select_batched", &plan.render());
 }

@@ -10,7 +10,7 @@
 
 use crate::ranking::RankedWorker;
 use crate::selector::{BatchQuery, CrowdSelector};
-use crowd_store::{CrowdDb, ShardedDb};
+use crowd_store::CrowdDb;
 use std::fmt;
 
 /// The kind of database mutation a fitted snapshot may be invalidated by.
@@ -205,20 +205,6 @@ pub trait SelectorBackend: Send + Sync {
 
     /// Fits the algorithm on `db`.
     fn fit(&self, db: &CrowdDb, opts: &FitOptions) -> Result<FitOutcome, SelectError>;
-
-    /// Fits the algorithm on a hash-partitioned store.
-    ///
-    /// Backends whose training pipeline understands sharding (TDPM's
-    /// shard-parallel fit) override this; the default declines, so callers
-    /// get an explicit error instead of a silently unsharded fit against a
-    /// store they partitioned on purpose.
-    fn fit_sharded(&self, db: &ShardedDb, opts: &FitOptions) -> Result<FitOutcome, SelectError> {
-        let _ = (db, opts);
-        Err(SelectError::Fit {
-            backend: self.name().to_string(),
-            message: "backend does not support sharded stores".to_string(),
-        })
-    }
 }
 
 /// A registry of [`SelectorBackend`]s, addressable by case-insensitive name.
@@ -280,19 +266,6 @@ impl SelectorRegistry {
     ) -> Result<FittedSelector, SelectError> {
         let backend = self.get(name)?;
         let outcome = backend.fit(db, opts)?;
-        Ok(FittedSelector::new(backend.name(), outcome))
-    }
-
-    /// Resolves `name` and fits it on a sharded store. Errors if the
-    /// backend does not override [`SelectorBackend::fit_sharded`].
-    pub fn fit_sharded(
-        &self,
-        name: &str,
-        db: &ShardedDb,
-        opts: &FitOptions,
-    ) -> Result<FittedSelector, SelectError> {
-        let backend = self.get(name)?;
-        let outcome = backend.fit_sharded(db, opts)?;
         Ok(FittedSelector::new(backend.name(), outcome))
     }
 }

@@ -10,7 +10,6 @@
 //! cargo run --release --example ablation_config
 //! ```
 
-use crowdselect::baselines::TdpmSelector;
 use crowdselect::eval::protocol::EvalProtocol;
 use crowdselect::model::{TdpmConfig, TdpmTrainer};
 use crowdselect::prelude::*;
@@ -45,10 +44,11 @@ fn main() {
                 seed: 7,
                 ..TdpmConfig::default()
             };
-            let model = TdpmTrainer::new(cfg).fit(db).expect("training data");
-            let selector = TdpmSelector::new(model);
-            let p_rec = reconstruct.evaluate(&selector, &questions).precision();
-            let p_proj = project.evaluate(&selector, &questions).precision();
+            let (model, _) = TdpmTrainer::new(cfg)
+                .fit(&TrainingSet::from_db(db))
+                .expect("training data");
+            let p_rec = reconstruct.evaluate(&model, &questions).precision();
+            let p_proj = project.evaluate(&model, &questions).precision();
             println!(
                 "{:<6} {:<10} {:>14.3} {:>12.3}",
                 k,

@@ -60,8 +60,8 @@ fn main() {
         seed: 3,
         ..TdpmConfig::default()
     };
-    let model = TdpmTrainer::new(config)
-        .fit(&train_db)
+    let (model, _) = TdpmTrainer::new(config)
+        .fit(&TrainingSet::from_db(&train_db))
         .expect("training data");
 
     // Test: rank each held-out question's answerers; the ground truth is the

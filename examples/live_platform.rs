@@ -14,17 +14,21 @@ use std::sync::Arc;
 fn main() {
     // One shared observability handle: every layer below (WAL, trainer,
     // model, pipeline) records into the same registry, and trace events
-    // stream to results/live_platform_trace.jsonl.
-    let _ = std::fs::create_dir_all("results");
-    let tracer = match JsonlSink::create("results/live_platform_trace.jsonl") {
-        Ok(sink) => Tracer::new(Arc::new(sink)),
+    // stream to a JSONL file in the temp directory, beside the WAL.
+    let out_dir = std::env::temp_dir();
+    let trace_path = out_dir.join("live_platform_trace.jsonl");
+    let tracer = match JsonlSink::create(&trace_path) {
+        Ok(sink) => {
+            println!("trace events stream to {}", trace_path.display());
+            Tracer::new(Arc::new(sink))
+        }
         Err(_) => Tracer::noop(),
     };
     let obs = Obs::new(Arc::new(Registry::new()), tracer);
 
     // Seed the crowd database with history for three specialists — through
     // the write-ahead log, so the snapshot below includes WAL timings.
-    let wal_path = std::env::temp_dir().join(format!("live_platform_{}.wal", std::process::id()));
+    let wal_path = out_dir.join(format!("live_platform_{}.wal", std::process::id()));
     std::fs::remove_file(&wal_path).ok();
     let mut logged = LoggedDb::open(&wal_path).expect("temp WAL");
     logged.set_obs(&obs);
@@ -136,8 +140,9 @@ fn main() {
     // projection latency percentiles, and the pipeline lifecycle counters.
     let snapshot: MetricsSnapshot = obs.snapshot();
     println!("\nmetrics snapshot:\n{}", snapshot.summary());
-    if std::fs::write("results/live_platform_metrics.json", snapshot.to_json()).is_ok() {
-        println!("full snapshot written to results/live_platform_metrics.json");
+    let metrics_path = out_dir.join("live_platform_metrics.json");
+    if std::fs::write(&metrics_path, snapshot.to_json()).is_ok() {
+        println!("full snapshot written to {}", metrics_path.display());
     }
     obs.tracer.flush();
 }

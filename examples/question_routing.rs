@@ -25,11 +25,19 @@ fn main() {
     // Fit each selector on the full history.
     let k = 8;
     println!("fitting selectors (K = {k} latent categories)…");
+    let tdpm = TdpmConfig {
+        num_categories: k,
+        seed: 1,
+        ..TdpmConfig::default()
+    };
+    let (model, _) = TdpmTrainer::new(tdpm)
+        .fit(&TrainingSet::from_db(db))
+        .expect("resolved tasks exist");
     let selectors: Vec<Box<dyn CrowdSelector>> = vec![
         Box::new(VsmSelector::fit(db)),
         Box::new(TspmSelector::fit(db, k, 1)),
         Box::new(DrmSelector::fit(db, k, 1)),
-        Box::new(TdpmSelector::fit(db, k, 1).expect("resolved tasks exist")),
+        Box::new(model),
     ];
 
     // Evaluate on questions whose best answerer is an active worker.

@@ -48,8 +48,8 @@ fn main() {
         seed: 7,
         ..TdpmConfig::default()
     };
-    let model = TdpmTrainer::new(config)
-        .fit(&db)
+    let (model, _) = TdpmTrainer::new(config)
+        .fit(&TrainingSet::from_db(&db))
         .expect("training data present");
     for (name, w) in [("ada", ada), ("carl", carl)] {
         let skill = model.skill(w).unwrap();

@@ -46,7 +46,9 @@
 //!
 //! // 2. Infer "who knows what" (variational EM).
 //! let config = TdpmConfig { num_categories: 2, seed: 7, ..TdpmConfig::default() };
-//! let model = TdpmTrainer::new(config).fit(&db).unwrap();
+//! let (model, _) = TdpmTrainer::new(config)
+//!     .fit(&TrainingSet::from_db(&db))
+//!     .unwrap();
 //!
 //! // 3. Route a fresh question to the right expert.
 //! let question = db.add_task("why does a btree split pages");
@@ -106,10 +108,10 @@ pub use crowd_text as text;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use crowd_baselines::{
-        standard_registry, DrmSelector, TdpmSelector, TspmSelector, VsmSelector,
+    pub use crowd_baselines::{standard_registry, DrmSelector, TspmSelector, VsmSelector};
+    pub use crowd_core::{
+        ScoreSpec, TaskProjection, TdpmConfig, TdpmModel, TdpmTrainer, TrainingSet,
     };
-    pub use crowd_core::{ScoreSpec, TaskProjection, TdpmConfig, TdpmModel, TdpmTrainer};
     pub use crowd_obs::{MetricsSnapshot, Obs};
     pub use crowd_platform::{CrowdManager, ManagerConfig, Pipeline, PipelineConfig};
     pub use crowd_query::QueryEngine;

@@ -53,7 +53,7 @@ fn incremental_updates_track_skill_drift_better_than_a_frozen_model() {
         ..TdpmConfig::default()
     };
     let (frozen, _) = TdpmTrainer::new(fit_cfg.clone())
-        .fit_training_set(&phase1.training)
+        .fit(&phase1.training)
         .unwrap();
     let mut tracking = frozen.clone();
 

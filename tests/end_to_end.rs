@@ -1,7 +1,7 @@
 //! Cross-crate integration: generated platform → database → selectors →
 //! evaluation → persistence, all through the public facade.
 
-use crowdselect::baselines::{CrowdSelector, TdpmSelector, VsmSelector};
+use crowdselect::baselines::{CrowdSelector, VsmSelector};
 use crowdselect::eval::protocol::EvalProtocol;
 use crowdselect::prelude::*;
 use crowdselect::store::snapshot::Snapshot;
@@ -27,7 +27,9 @@ fn generated_platform_round_trips_through_snapshot() {
         seed: 1,
         ..TdpmConfig::default()
     };
-    let model = TdpmTrainer::new(cfg).fit(&restored).unwrap();
+    let (model, _) = TdpmTrainer::new(cfg)
+        .fit(&TrainingSet::from_db(&restored))
+        .unwrap();
     assert_eq!(model.worker_ids().len(), restored.num_workers());
 }
 
@@ -37,13 +39,19 @@ fn trained_selector_beats_reversed_self() {
     // score strictly better than the same ranking reversed.
     let platform = small_quora();
     let db = &platform.db;
-    let tdpm = TdpmSelector::fit(db, 4, 3).unwrap();
+    let (tdpm, _) = TdpmTrainer::new(TdpmConfig {
+        num_categories: 4,
+        seed: 3,
+        ..TdpmConfig::default()
+    })
+    .fit(&TrainingSet::from_db(db))
+    .unwrap();
     let group = WorkerGroup::extract(db, 1);
     let protocol = EvalProtocol::new(120, 5);
     let questions = protocol.test_questions(db, &group);
     assert!(questions.len() >= 20, "enough test questions generated");
 
-    struct Reversed<'a>(&'a TdpmSelector);
+    struct Reversed<'a>(&'a TdpmModel);
     impl CrowdSelector for Reversed<'_> {
         fn name(&self) -> &'static str {
             "REV"

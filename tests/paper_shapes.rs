@@ -1,7 +1,7 @@
 //! Qualitative reproduction checks: the *shapes* of the paper's findings
 //! must hold on the synthetic platforms (Section 7.3 conclusions).
 
-use crowdselect::baselines::{CrowdSelector, DrmSelector, TdpmSelector, TspmSelector, VsmSelector};
+use crowdselect::baselines::{CrowdSelector, DrmSelector, TspmSelector, VsmSelector};
 use crowdselect::eval::protocol::EvalProtocol;
 use crowdselect::prelude::*;
 
@@ -11,7 +11,16 @@ fn fit_all(db: &CrowdDb, k: usize) -> Vec<Box<dyn CrowdSelector>> {
         Box::new(VsmSelector::fit(db)),
         Box::new(TspmSelector::fit(db, k, 9)),
         Box::new(DrmSelector::fit(db, k, 9)),
-        Box::new(TdpmSelector::fit(db, k, 9).unwrap()),
+        Box::new(
+            TdpmTrainer::new(TdpmConfig {
+                num_categories: k,
+                seed: 9,
+                ..TdpmConfig::default()
+            })
+            .fit(&TrainingSet::from_db(db))
+            .unwrap()
+            .0,
+        ),
     ]
 }
 
@@ -64,7 +73,13 @@ fn precision_rises_with_worker_activity_threshold() {
     // TDPM between the loosest and tightest groups.
     let platform = PlatformGenerator::new(SimConfig::stack_overflow(0.06, 5)).generate();
     let db = &platform.db;
-    let tdpm = TdpmSelector::fit(db, 6, 2).unwrap();
+    let (tdpm, _) = TdpmTrainer::new(TdpmConfig {
+        num_categories: 6,
+        seed: 2,
+        ..TdpmConfig::default()
+    })
+    .fit(&TrainingSet::from_db(db))
+    .unwrap();
     let protocol = EvalProtocol::new(200, 11);
 
     let loose = WorkerGroup::extract(db, 1);
@@ -132,7 +147,13 @@ fn tdpm_advantage_survives_bootstrap_resampling() {
     use crowdselect::eval::significance::paired_bootstrap;
     let platform = PlatformGenerator::new(SimConfig::quora(0.06, 41)).generate();
     let db = &platform.db;
-    let tdpm = TdpmSelector::fit(db, 6, 4).unwrap();
+    let (tdpm, _) = TdpmTrainer::new(TdpmConfig {
+        num_categories: 6,
+        seed: 4,
+        ..TdpmConfig::default()
+    })
+    .fit(&TrainingSet::from_db(db))
+    .unwrap();
     let drm = DrmSelector::fit(db, 6, 4);
     let group = WorkerGroup::extract(db, 1);
     let protocol = EvalProtocol::new(250, 8);
@@ -172,11 +193,17 @@ fn multinomial_baselines_cannot_express_magnitude() {
         }
     }
     // TDPM skills are NOT normalized: magnitudes differ across workers.
-    let tdpm = TdpmSelector::fit(db, 5, 1).unwrap();
+    let (tdpm, _) = TdpmTrainer::new(TdpmConfig {
+        num_categories: 5,
+        seed: 1,
+        ..TdpmConfig::default()
+    })
+    .fit(&TrainingSet::from_db(db))
+    .unwrap();
     let norms: Vec<f64> = db
         .worker_ids()
         .take(30)
-        .filter_map(|w| tdpm.model().skill(w).map(|s| s.mean.norm()))
+        .filter_map(|w| tdpm.skill(w).map(|s| s.mean.norm()))
         .collect();
     let min = norms.iter().copied().fold(f64::MAX, f64::min);
     let max = norms.iter().copied().fold(f64::MIN, f64::max);
