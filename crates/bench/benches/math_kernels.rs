@@ -56,7 +56,7 @@ fn math_kernels(c: &mut Criterion) {
 
     // The worker E-step resets a precision matrix and RHS to the prior for
     // every worker each EM iteration. Contrast the old per-worker clone with
-    // the EStepScratch pattern: reuse one allocation via copy_from.
+    // the reuse pattern of `run_worker_range`: one allocation via copy_from.
     let mut group = c.benchmark_group("estep_buffer_reset");
     for k in [10usize, 50] {
         let prior_prec = spd(k);

@@ -4,20 +4,24 @@
 //! run sees the identical platform:
 //!
 //! - **Speedup tier** (100k workers / 20k tasks / ~200k assignments): the
-//!   same [`TrainingSet`] is fitted with `num_shards = 1` (fully inline)
-//!   and `num_shards = 8` (per-shard E-step jobs on the persistent
-//!   [`crowd_math::ScoringPool`], suff-stats reduced in shard-index
-//!   order), both at `num_threads = 1` so the shard fan-out is the only
-//!   variable. Because the sharded reduction uses the same fixed-block
-//!   tree as the serial path, the two fits must also produce bit-identical
-//!   ELBO traces — checked here as a gate, so the speedup can never be
-//!   bought by drifting the arithmetic.
+//!   same [`TrainingSet`] is fitted with `num_shards = 1` and
+//!   `num_shards = 8`, both at `num_threads = 1` so the shard fan-out is
+//!   the only variable. Both run the one EM driver: with one shard every
+//!   phase is a single chunk, which the persistent
+//!   [`crowd_math::ScoringPool`] runs inline; with eight, every phase runs
+//!   one pool job per shard and the suff-stats fold in shard-index order.
+//!   Because both plans reduce over the same fixed-block tree, the two fits
+//!   must also produce bit-identical ELBO traces — checked here as a gate,
+//!   so the speedup can never be bought by drifting the arithmetic.
 //! - **Memory tier** (1M workers / 1M tasks / ~10M assignments): the
 //!   platform is materialized into an 8-shard [`ShardedDb`] and fitted for
 //!   one EM epoch via [`TdpmTrainer::fit`] on [`TrainingSet::from_sharded`]
 //!   with `num_shards = 8`; the process peak RSS
 //!   (`VmHWM`, via [`crowd_obs::peak_rss_bytes`]) must stay under
 //!   [`GATE_PEAK_RSS_BYTES`] — the bounded-memory claim of DESIGN §11.
+//!   `VmHWM` is also reported after each phase: populate, the
+//!   `TrainingSet` build, the EM epoch (the `trainer/peak_rss_bytes` gauge)
+//!   and the whole fit.
 //!
 //! **Measurement.** The speedup tier uses the min-statistic paired scheme
 //! from `selection_smoke`: each round times both fits back to back and
@@ -49,12 +53,14 @@ const K: usize = 4;
 const SHARDS: usize = 8;
 /// Multi-core hosts (≥ 4 pool workers): minimum 8-shard vs 1-shard speedup.
 const GATE_MIN_SPEEDUP_MULTI: f64 = 3.0;
-/// Single-core hosts: max allowed `fit_s8 / fit_s1`. The pooled path's
-/// per-chunk state round-trips measure ~5% over the inline fit when there
-/// is no parallelism to buy; the bound adds headroom for shared-host
-/// scheduler noise while staying an order of magnitude below the
-/// regression mode it exists to catch (per-call thread spawns cost
-/// several-fold here before the persistent pool).
+/// Single-core hosts: max allowed `fit_s8 / fit_s1`. The 1-shard fit runs
+/// each phase as one chunk that moves its rows and copies nothing; the
+/// 8-shard fit copies each chunk's rows out and back once per phase and
+/// pays pool dispatch, which costs it a few percent when there is no
+/// parallelism to buy. The bound adds headroom for shared-host scheduler
+/// noise while staying an order of magnitude below the regression mode it
+/// exists to catch (per-call thread spawns cost several-fold here before
+/// the persistent pool).
 const GATE_SINGLE_CORE_SLACK: f64 = 1.20;
 /// Peak-RSS ceiling for the whole process after the million-worker tier.
 const GATE_PEAK_RSS_BYTES: u64 = 8 * 1024 * 1024 * 1024;
@@ -171,6 +177,8 @@ struct MemoryTier {
     fit_ms: f64,
     elbo: f64,
     peak_rss_bytes: Option<u64>,
+    /// `(phase, VmHWM after it)`, in run order.
+    rss_after: Vec<(&'static str, Option<u64>)>,
 }
 
 /// Materializes the million-worker platform into an 8-shard store and runs
@@ -182,16 +190,25 @@ fn run_memory_tier(cfg: &ScaleConfig) -> MemoryTier {
     g.populate_sharded(&mut db).expect("populate sharded store");
     let populate_ms = t0.elapsed().as_secs_f64() * 1e3;
     let num_assignments = db.num_assignments();
+    let mut rss_after = vec![("populate", crowd_obs::peak_rss_bytes())];
 
     let config = TdpmConfig {
         max_em_iters: 1,
         ..fit_config(SHARDS)
     };
+    let obs = crowd_obs::Obs::noop();
     let t1 = Instant::now();
+    let ts = TrainingSet::from_sharded(&db);
+    rss_after.push(("training_set", crowd_obs::peak_rss_bytes()));
     let (_model, report) = TdpmTrainer::new(config)
-        .fit(&TrainingSet::from_sharded(&db))
+        .with_obs(obs.clone())
+        .fit(&ts)
         .expect("million-worker fit");
     let fit_ms = t1.elapsed().as_secs_f64() * 1e3;
+    // The trainer stamps VmHWM at the end of every epoch; zero means unread.
+    let epoch = obs.metrics.gauge("trainer", "peak_rss_bytes").get();
+    rss_after.push(("epoch", (epoch > 0.0).then_some(epoch as u64)));
+    rss_after.push(("fit", crowd_obs::peak_rss_bytes()));
 
     MemoryTier {
         num_assignments,
@@ -199,7 +216,13 @@ fn run_memory_tier(cfg: &ScaleConfig) -> MemoryTier {
         fit_ms,
         elbo: report.objective_trace.last().copied().unwrap_or(f64::NAN),
         peak_rss_bytes: crowd_obs::peak_rss_bytes(),
+        rss_after,
     }
+}
+
+/// A byte count as a JSON number, or `null` when it was not read.
+fn json_bytes(bytes: Option<u64>) -> String {
+    bytes.map_or_else(|| "null".to_string(), |b| b.to_string())
 }
 
 /// Evaluate the host-conditional speedup gate; returns the failure
@@ -325,6 +348,14 @@ fn main() {
             None => "unavailable".to_string(),
         }
     );
+    for (phase, bytes) in &memory.rss_after {
+        if let Some(b) = bytes {
+            println!(
+                "fit_smoke: memory tier — VmHWM after {phase}: {} MiB",
+                b >> 20
+            );
+        }
+    }
 
     let mut failures = failures;
     if !traces_identical {
@@ -376,11 +407,15 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"peak_rss_bytes\": {},",
-        match memory.peak_rss_bytes {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        }
+        json_bytes(memory.peak_rss_bytes)
     );
+    for (phase, bytes) in &memory.rss_after {
+        let _ = writeln!(
+            json,
+            "    \"peak_rss_after_{phase}_bytes\": {},",
+            json_bytes(*bytes)
+        );
+    }
     let _ = writeln!(json, "    \"gate_peak_rss_bytes\": {GATE_PEAK_RSS_BYTES}");
     json.push_str("  },\n");
     let _ = writeln!(

@@ -56,22 +56,28 @@ pub struct TdpmConfig {
     pub feedback_forgetting: f64,
     /// RNG seed for symmetry-breaking initialization.
     pub seed: u64,
-    /// Threads for the task E-step (`1` = sequential). Task posteriors are
-    /// independent given the worker posteriors, so the per-task coordinate
-    /// ascent parallelizes without changing results — the split is by
-    /// contiguous task ranges and every thread runs the same deterministic
-    /// updates.
+    /// Fan-out within a shard, for training and for serving.
+    ///
+    /// - **Fit:** each E-step half cuts every shard's worker or task range
+    ///   into `num_threads` contiguous chunks, one pool job each. Posteriors
+    ///   within a half are mutually independent, so the fitted model is
+    ///   bit-identical for every value.
+    /// - **Serving:** the default candidate-chunk fan-out of
+    ///   [`crate::TdpmModel::select`] (when its `ScoreSpec::threads` is
+    ///   `None`) and of [`crate::TdpmModel::select_top_k_optimistic`].
+    ///
+    /// Defaults to `1`.
     pub num_threads: usize,
     /// Shards for the fit (`1` = unsharded). Workers and tasks are cut into
     /// `num_shards` block-aligned contiguous ranges (see
-    /// [`crate::inference::suffstats::ShardPlan`]): both E-step halves run
-    /// per shard on the persistent scoring pool, and the M-step/ELBO reduce
-    /// per-shard fixed-block sufficient statistics in shard-index order.
-    /// Because every global sum uses the same fixed-block reduction tree as
-    /// the serial path, the fitted model is **bit-identical for every shard
-    /// count**. This is the fit's only fan-out setting: the shard count of
-    /// the store a [`crate::TrainingSet`] came from is not consulted.
-    /// Defaults to `1`.
+    /// [`crate::inference::suffstats::ShardPlan`]). Both E-step halves run
+    /// per shard on the persistent scoring pool (each shard cut further into
+    /// `num_threads` chunks), and the ELBO and M-step gather fixed-block
+    /// sufficient statistics in one pool job per shard and fold them in
+    /// shard-index order. Because every global sum uses the same fixed-block
+    /// reduction tree for every plan, the fitted model is **bit-identical for
+    /// every shard count**. The shard count of the store a
+    /// [`crate::TrainingSet`] came from is not consulted. Defaults to `1`.
     pub num_shards: usize,
 }
 

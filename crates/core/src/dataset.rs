@@ -158,14 +158,8 @@ impl TrainingSet {
 
     /// For each worker (dense), the `(task index, score)` pairs — the
     /// transpose of the per-task score lists, needed by the worker E-step.
-    pub fn scores_by_worker(&self) -> Vec<Vec<(usize, f64)>> {
-        let mut by_worker = vec![Vec::new(); self.num_workers()];
-        for (j, t) in self.tasks.iter().enumerate() {
-            for &(i, s) in &t.scores {
-                by_worker[i].push((j, s));
-            }
-        }
-        by_worker
+    pub fn scores_by_worker(&self) -> ScoresByWorker {
+        ScoresByWorker::new(&self.tasks, self.num_workers())
     }
 
     /// Total number of scored `(worker, task)` pairs `|A|`.
@@ -183,6 +177,55 @@ impl TrainingSet {
             }
         }
         counts
+    }
+}
+
+/// The worker-major transpose of the per-task score lists, in CSR form:
+/// worker `i`'s `(task index, score)` pairs are
+/// `pairs[offsets[i]..offsets[i + 1]]`, in ascending task order (the order
+/// the worker E-step sums them in). Index it by dense worker index.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScoresByWorker {
+    /// `len = num_workers + 1`.
+    offsets: Vec<usize>,
+    pairs: Vec<(usize, f64)>,
+}
+
+impl ScoresByWorker {
+    /// Transposes `tasks`' score lists for `num_workers` workers; every
+    /// worker index in them must be `< num_workers`.
+    pub fn new(tasks: &[TaskData], num_workers: usize) -> Self {
+        let mut offsets = vec![0usize; num_workers + 1];
+        for t in tasks {
+            for &(i, _) in &t.scores {
+                offsets[i + 1] += 1;
+            }
+        }
+        for i in 0..num_workers {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..num_workers].to_vec();
+        let mut pairs = vec![(0usize, 0.0); offsets[num_workers]];
+        for (j, t) in tasks.iter().enumerate() {
+            for &(i, s) in &t.scores {
+                pairs[next[i]] = (j, s);
+                next[i] += 1;
+            }
+        }
+        ScoresByWorker { offsets, pairs }
+    }
+
+    /// Every worker's pairs, in dense worker order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(usize, f64)]> + '_ {
+        self.offsets.windows(2).map(|w| &self.pairs[w[0]..w[1]])
+    }
+}
+
+impl std::ops::Index<usize> for ScoresByWorker {
+    type Output = [(usize, f64)];
+
+    fn index(&self, worker: usize) -> &[(usize, f64)] {
+        &self.pairs[self.offsets[worker]..self.offsets[worker + 1]]
     }
 }
 
@@ -241,7 +284,7 @@ mod tests {
         assert_eq!(by_worker[w0].len(), 2);
         assert!(by_worker[w2].is_empty());
         // Cross-check total.
-        let total: usize = by_worker.iter().map(Vec::len).sum();
+        let total: usize = by_worker.iter().map(<[_]>::len).sum();
         assert_eq!(total, ts.num_scored_pairs());
     }
 

@@ -2,9 +2,10 @@
 
 use super::EStepContext;
 use crate::dataset::TrainingSet;
-use crate::inference::suffstats::ElboPartials;
+use crate::inference::suffstats::{ElboPartials, ShardPlan};
 use crate::variational::VariationalState;
-use crowd_math::Vector;
+use crowd_math::{ScoringPool, Vector};
+use std::sync::Arc;
 
 /// Additive breakdown of the bound; useful for debugging which term moves.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,27 +29,36 @@ impl ElboBreakdown {
 
 /// Computes the full bound for the current state.
 ///
-/// Goes through the fixed-block [`ElboPartials`] gather so the serial bound
-/// is bit-identical to the sharded gather-merge-fold of the same partials
-/// (see `crate::inference::suffstats`).
-pub fn elbo(state: &VariationalState, ts: &TrainingSet, ctx: &EStepContext) -> ElboBreakdown {
-    ElboPartials::gather(
-        state,
-        ts.tasks(),
-        ctx,
-        0..ts.num_workers(),
-        0..ts.num_tasks(),
-    )
-    .fold()
+/// Every shard of `plan` gathers its fixed-block [`ElboPartials`] on the
+/// scoring pool, and the partials fold in shard-index order (see
+/// `crate::inference::suffstats`), so the bound is bit-identical for every
+/// plan.
+pub fn elbo(
+    state: &Arc<VariationalState>,
+    ts: &TrainingSet,
+    ctx: &Arc<EStepContext>,
+    plan: &ShardPlan,
+) -> ElboBreakdown {
+    let tasks = ts.tasks_shared();
+    let jobs: Vec<_> = (0..plan.num_shards())
+        .map(|s| {
+            let (wr, tr) = (plan.worker_range(s), plan.task_range(s));
+            let state = Arc::clone(state);
+            let tasks = Arc::clone(&tasks);
+            let ctx = Arc::clone(ctx);
+            move || ElboPartials::gather(&state, &tasks, &ctx, wr, tr)
+        })
+        .collect();
+    ElboPartials::merge(ScoringPool::global().run(jobs)).fold()
 }
 
 /// `KL(Normal(λ, diag(ν²)) ‖ Normal(μ, Σ))` given `Σ⁻¹` and `log det Σ`:
 ///
 /// `½ [ tr(Σ⁻¹ diag(ν²)) + (λ−μ)ᵀ Σ⁻¹ (λ−μ) − K + log det Σ − Σ_k ln ν²_k ]`
 pub fn gaussian_kl(
-    lambda: &Vector,
-    nu2: &Vector,
-    mu: &Vector,
+    lambda: &[f64],
+    nu2: &[f64],
+    mu: &[f64],
     sigma_inv: &crowd_math::Matrix,
     log_det_sigma: f64,
 ) -> f64 {
@@ -87,7 +97,13 @@ mod tests {
             .inverse()
             .unwrap();
         let log_det = crowd_math::Cholesky::factor(&sigma).unwrap().log_det();
-        let kl = gaussian_kl(&lambda, &nu2, &lambda, &inv, log_det);
+        let kl = gaussian_kl(
+            lambda.as_slice(),
+            nu2.as_slice(),
+            lambda.as_slice(),
+            &inv,
+            log_det,
+        );
         assert!(kl.abs() < 1e-10, "kl = {kl}");
     }
 
@@ -97,7 +113,7 @@ mod tests {
         let nu2 = Vector::from_vec(vec![1.0, 1.0]);
         let mu = Vector::zeros(2);
         let inv = Matrix::identity(2);
-        let kl = gaussian_kl(&lambda, &nu2, &mu, &inv, 0.0);
+        let kl = gaussian_kl(lambda.as_slice(), nu2.as_slice(), mu.as_slice(), &inv, 0.0);
         // KL = ½ (μ distance)² = 1 here.
         assert!((kl - 1.0).abs() < 1e-10);
     }
@@ -114,7 +130,12 @@ mod tests {
         let params = ModelParams::neutral(2, 2);
         let ctx = EStepContext::new(&params).unwrap();
         let state = VariationalState::init(&ts, 2, 0);
-        let b = elbo(&state, &ts, &ctx);
+        let b = elbo(
+            &Arc::new(state),
+            &ts,
+            &Arc::new(ctx),
+            &ShardPlan::new(1, 1, 1),
+        );
         assert!(b.total().is_finite());
         assert!(b.worker_prior <= 1e-9, "KL terms are ≤ 0: {b:?}");
         assert!(b.task_prior <= 1e-9);

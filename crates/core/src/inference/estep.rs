@@ -1,45 +1,16 @@
 //! Variational E-step updates (paper Eqs. 10–15 and 22–23).
 
-use super::EStepContext;
+use super::{axpy, EStepContext};
 use crate::config::TdpmConfig;
-use crate::dataset::TrainingSet;
-use crate::variational::VariationalState;
+use crate::dataset::{ScoresByWorker, TaskData};
+use crate::variational::{Slab, TaskRows, VariationalState, WorkerRows};
 use crate::{CoreError, Result};
 use crowd_math::kernels;
 use crowd_math::optimize::{minimize_cg, solve_decreasing};
 use crowd_math::{Cholesky, Matrix, Vector};
 
-/// Reusable buffers for the worker E-step.
-///
-/// Every worker update starts from the same prior precision and right-hand
-/// side; cloning them per worker (the old hot path) costs two heap
-/// allocations per worker per EM iteration. The scratch holds one set of
-/// buffers that are *overwritten* with the prior instead — the arithmetic is
-/// unchanged, so results stay bit-identical to the allocating version.
-#[derive(Debug, Clone)]
-pub struct EStepScratch {
-    precision: Matrix,
-    rhs: Vector,
-    diag_acc: Vector,
-}
-
-impl EStepScratch {
-    /// Buffers for a `k`-category model.
-    pub fn new(k: usize) -> Self {
-        EStepScratch {
-            precision: Matrix::zeros(k, k),
-            rhs: Vector::zeros(k),
-            diag_acc: Vector::zeros(k),
-        }
-    }
-
-    /// Number of latent categories the buffers are sized for.
-    pub fn num_categories(&self) -> usize {
-        self.rhs.len()
-    }
-}
-
-/// Updates every worker posterior `q(w^i)` (Eqs. 10–11).
+/// Updates the worker posteriors `q(w^i)` (Eqs. 10–11) of one chunk: the
+/// workers `start..start + rows.lambda.len()`.
 ///
 /// For worker `i` with scored tasks `J_i`:
 ///
@@ -50,82 +21,80 @@ impl EStepScratch {
 /// ```
 ///
 /// Workers without feedback keep the mean-field projection of the prior
-/// (both formulas with empty sums). `scratch` carries the per-worker
-/// accumulators across calls so the loop allocates nothing but the solved
-/// means.
-pub fn update_workers(
-    state: &mut VariationalState,
-    ts: &TrainingSet,
-    ctx: &EStepContext,
-    by_worker: &[Vec<(usize, f64)>],
-    scratch: &mut EStepScratch,
-) -> Result<()> {
-    let n = ts.num_workers();
-    let VariationalState {
-        lambda_w,
-        nu2_w,
-        lambda_c,
-        nu2_c,
-        ..
-    } = state;
-    run_worker_range(
-        0,
-        &mut lambda_w[..n],
-        &mut nu2_w[..n],
-        by_worker,
-        lambda_c,
-        nu2_c,
-        ctx,
-        scratch,
-    )
-}
-
-/// Updates the worker posteriors `start..start + lambda_w.len()`, writing
-/// through the local slices. Each worker reads only the (read-only) task
-/// posteriors and its own row of `by_worker` (indexed globally), so any
-/// partition of the worker axis runs this bit-identically to the full serial
-/// sweep — this is the primitive behind both `update_workers` and the
-/// sharded pooled path in the trainer.
-#[allow(clippy::too_many_arguments)]
+/// (both formulas with empty sums). Each worker reads only the task
+/// posteriors in `shared` and its own row of `by_worker` (indexed
+/// globally), so any partition of the worker axis computes the same bits.
+/// One set of precision / right-hand-side buffers is reset per worker, so
+/// the loop allocates nothing but the solved means.
 #[allow(clippy::needless_range_loop)] // indexes address several parallel arrays
 pub(crate) fn run_worker_range(
     start: usize,
-    lambda_w: &mut [Vector],
-    nu2_w: &mut [Vector],
-    by_worker: &[Vec<(usize, f64)>],
-    lambda_c: &[Vector],
-    nu2_c: &[Vector],
+    rows: &mut WorkerRows,
+    by_worker: &ScoresByWorker,
+    shared: &VariationalState,
     ctx: &EStepContext,
-    scratch: &mut EStepScratch,
 ) -> Result<()> {
-    let k = scratch.num_categories();
+    let k = rows.lambda.width();
     let inv_tau2 = 1.0 / ctx.tau2;
-    for local in 0..lambda_w.len() {
+    let mut precision = Matrix::zeros(k, k);
+    let mut rhs = Vector::zeros(k);
+    let mut diag_acc = vec![0.0; k];
+    for local in 0..rows.lambda.len() {
         let i = start + local;
-        let jobs = &by_worker[i];
-        let precision = &mut scratch.precision;
-        let rhs = &mut scratch.rhs;
-        let diag_acc = &mut scratch.diag_acc;
         precision.copy_from(&ctx.sigma_w_inv)?;
         rhs.copy_from(&ctx.prior_rhs_w)?;
-        diag_acc.as_mut_slice().fill(0.0);
-        for &(j, s) in jobs {
-            let lc = &lambda_c[j];
-            let nc2 = &nu2_c[j];
+        diag_acc.fill(0.0);
+        for &(j, s) in &by_worker[i] {
+            let lc = &shared.lambda_c[j];
+            let nc2 = &shared.nu2_c[j];
             precision.add_outer(inv_tau2, lc)?;
-            let scaled_nc2 = nc2.map(|x| x * inv_tau2);
-            precision.add_diag(&scaled_nc2)?;
-            rhs.axpy(inv_tau2 * s, lc)?;
+            for kk in 0..k {
+                precision[(kk, kk)] += nc2[kk] * inv_tau2;
+            }
+            axpy(rhs.as_mut_slice(), inv_tau2 * s, lc);
             for kk in 0..k {
                 diag_acc[kk] += (lc[kk] * lc[kk] + nc2[kk]) * inv_tau2;
             }
         }
-        let chol = Cholesky::factor_with_jitter(precision, 1e-10, 40)
+        let chol = Cholesky::factor_with_jitter(&precision, 1e-10, 40)
             .map_err(|e| CoreError::Numerical(format!("worker {i} precision: {e}")))?;
-        lambda_w[local] = chol.solve(rhs)?;
+        rows.lambda[local].copy_from_slice(chol.solve(&rhs)?.as_slice());
         for kk in 0..k {
-            nu2_w[local][kk] = 1.0 / (diag_acc[kk] + ctx.sigma_w_inv[(kk, kk)]);
+            rows.nu2[local][kk] = 1.0 / (diag_acc[kk] + ctx.sigma_w_inv[(kk, kk)]);
         }
+    }
+    Ok(())
+}
+
+/// Updates the task posteriors (Eqs. 12–15) of one chunk: `tasks[j]` owns
+/// row `j` of `rows`. Task posteriors are mutually independent given the
+/// worker posteriors in `shared`, so any partition of the task axis computes
+/// the same bits.
+pub(crate) fn run_task_range(
+    tasks: &[TaskData],
+    shared: &VariationalState,
+    rows: &mut TaskRows,
+    ctx: &EStepContext,
+    cfg: &TdpmConfig,
+) -> Result<()> {
+    let k = cfg.num_categories;
+    let mut phi = rows.phi.as_mut_slice();
+    for (j, task) in tasks.iter().enumerate() {
+        let stats = TaskFeedbackStats::gather(&task.scores, &shared.lambda_w, &shared.nu2_w)?;
+        let (phi_j, rest) = std::mem::take(&mut phi).split_at_mut(task.words.len() * k);
+        phi = rest;
+        let update = TaskUpdate {
+            words: &task.words,
+            num_tokens: task.num_tokens,
+            feedback: &stats,
+        };
+        let mut post = TaskPosterior {
+            lambda: &mut rows.lambda[j],
+            nu2: &mut rows.nu2[j],
+            phi: phi_j,
+            epsilon: &mut rows.epsilon[j],
+        };
+        update_task(&update, &mut post, ctx, cfg)?;
     }
     Ok(())
 }
@@ -155,17 +124,12 @@ impl TaskFeedbackStats {
     }
 
     /// Accumulates the statistics from the current worker posteriors.
-    pub fn gather(
-        scores: &[(usize, f64)],
-        lambda_w: &[Vector],
-        nu2_w: &[Vector],
-        k: usize,
-    ) -> Result<Self> {
-        let mut stats = TaskFeedbackStats::empty(k);
+    pub fn gather(scores: &[(usize, f64)], lambda_w: &Slab, nu2_w: &Slab) -> Result<Self> {
+        let mut stats = TaskFeedbackStats::empty(lambda_w.width());
         for &(i, s) in scores {
             stats.a.add_outer(1.0, &lambda_w[i])?;
             stats.a.add_diag(&nu2_w[i])?;
-            stats.b.axpy(s, &lambda_w[i])?;
+            axpy(stats.b.as_mut_slice(), s, &lambda_w[i]);
             stats.count += 1;
         }
         Ok(stats)
@@ -189,9 +153,9 @@ pub struct TaskUpdate<'a> {
 #[derive(Debug)]
 pub struct TaskPosterior<'a> {
     /// `λ_c^j`.
-    pub lambda: &'a mut Vector,
+    pub lambda: &'a mut [f64],
     /// `ν_c^j²`.
-    pub nu2: &'a mut Vector,
+    pub nu2: &'a mut [f64],
     /// Flattened `(distinct terms) × K` responsibilities — one row of the
     /// state's contiguous [`crate::variational::PhiMatrix`].
     pub phi: &'a mut [f64],
@@ -257,9 +221,10 @@ pub fn update_task(
             feedback: update.feedback,
             inv_tau2,
         };
-        let result = minimize_cg(&objective, post.lambda, &cfg.cg_options());
+        let start = Vector::from_vec(post.lambda.to_vec());
+        let result = minimize_cg(&objective, &start, &cfg.cg_options());
         if result.x.is_finite() {
-            *post.lambda = result.x;
+            post.lambda.copy_from_slice(result.x.as_slice());
         }
 
         // --- ν_c² update (Eq. 15 / 23) ---------------------------------------
@@ -305,7 +270,7 @@ pub struct TaskMeanObjective<'a> {
     /// `Σ_v cnt_v φ_v`.
     pub phi_sum: &'a Vector,
     /// Current diagonal variances `ν²` (held fixed during the mean update).
-    pub nu2: &'a Vector,
+    pub nu2: &'a [f64],
     /// Taylor parameter `ε`.
     pub epsilon: f64,
     /// Token count `L`.
@@ -370,8 +335,8 @@ impl crowd_math::optimize::Objective for TaskMeanObjective<'_> {
 pub fn expected_word_ll(
     words: &[(usize, u32)],
     num_tokens: f64,
-    lambda: &Vector,
-    nu2: &Vector,
+    lambda: &[f64],
+    nu2: &[f64],
     phi: &[f64],
     epsilon: f64,
     log_beta: &Matrix,
@@ -399,6 +364,7 @@ pub fn expected_word_ll(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::TrainingSet;
     use crate::params::ModelParams;
     use crate::variational::VariationalState;
     use crate::TdpmConfig;
@@ -434,9 +400,10 @@ mod tests {
         let ctx = EStepContext::new(&params).unwrap();
         let mut state = VariationalState::init(&ts, 2, 0);
         // Worker 0 with no jobs at all:
-        let by_worker = vec![vec![], vec![]];
-        let mut scratch = EStepScratch::new(2);
-        update_workers(&mut state, &ts, &ctx, &by_worker, &mut scratch).unwrap();
+        let by_worker = ScoresByWorker::new(&[], 2);
+        let mut rows = state.take_workers(0..2);
+        run_worker_range(0, &mut rows, &by_worker, &state, &ctx).unwrap();
+        state.put_workers(0, rows);
         for kk in 0..2 {
             assert!((state.lambda_w[0][kk] - params.mu_w[kk]).abs() < 1e-10);
             assert!((state.nu2_w[0][kk] - 1.0).abs() < 1e-10, "identity prior");
@@ -449,11 +416,12 @@ mod tests {
         let ctx = EStepContext::new(&params).unwrap();
         let mut state = VariationalState::init(&ts, 2, 0);
         // Make task 0's category point along axis 0 strongly.
-        state.lambda_c[0] = Vector::from_vec(vec![2.0, 0.0]);
-        state.nu2_c[0] = Vector::from_vec(vec![0.01, 0.01]);
+        state.lambda_c[0].copy_from_slice(&[2.0, 0.0]);
+        state.nu2_c[0].copy_from_slice(&[0.01, 0.01]);
         let by_worker = ts.scores_by_worker();
-        let mut scratch = EStepScratch::new(2);
-        update_workers(&mut state, &ts, &ctx, &by_worker, &mut scratch).unwrap();
+        let mut rows = state.take_workers(0..2);
+        run_worker_range(0, &mut rows, &by_worker, &state, &ctx).unwrap();
+        state.put_workers(0, rows);
         // Worker 0 scored 3.0 on task 0 → skill along axis 0 must be positive
         // and larger than worker 1's (scored 0.5 on the same task).
         assert!(state.lambda_w[0][0] > state.lambda_w[1][0]);
@@ -464,13 +432,10 @@ mod tests {
 
     #[test]
     fn feedback_stats_accumulate() {
-        let lambda_w = vec![
-            Vector::from_vec(vec![1.0, 0.0]),
-            Vector::from_vec(vec![0.0, 2.0]),
-        ];
-        let nu2_w = vec![Vector::filled(2, 0.5), Vector::filled(2, 0.25)];
+        let lambda_w = Slab::from_vec(2, vec![1.0, 0.0, 0.0, 2.0]);
+        let nu2_w = Slab::from_vec(2, vec![0.5, 0.5, 0.25, 0.25]);
         let scores = vec![(0usize, 3.0), (1usize, 1.0)];
-        let stats = TaskFeedbackStats::gather(&scores, &lambda_w, &nu2_w, 2).unwrap();
+        let stats = TaskFeedbackStats::gather(&scores, &lambda_w, &nu2_w).unwrap();
         assert_eq!(stats.count, 2);
         // A = [1,0;0,0] + diag(.5,.5) + [0,0;0,4] + diag(.25,.25)
         assert!((stats.a[(0, 0)] - 1.75).abs() < 1e-12);
@@ -484,25 +449,22 @@ mod tests {
         let (ts, params, cfg) = toy();
         let ctx = EStepContext::new(&params).unwrap();
         let mut state = VariationalState::init(&ts, 2, 1);
-        let stats =
-            TaskFeedbackStats::gather(&ts.tasks()[0].scores, &state.lambda_w, &state.nu2_w, 2)
-                .unwrap();
+        let stats = TaskFeedbackStats::gather(&ts.tasks()[0].scores, &state.lambda_w, &state.nu2_w)
+            .unwrap();
         let update = TaskUpdate {
             words: &ts.tasks()[0].words,
             num_tokens: ts.tasks()[0].num_tokens,
             feedback: &stats,
         };
-        let (lc, rest) = state.lambda_c.split_first_mut().unwrap();
-        let _ = rest;
         let mut post = TaskPosterior {
-            lambda: lc,
+            lambda: &mut state.lambda_c[0],
             nu2: &mut state.nu2_c[0],
             phi: state.phi.row_mut(0),
             epsilon: &mut state.epsilon[0],
         };
         update_task(&update, &mut post, &ctx, &cfg).unwrap();
-        assert!(post.lambda.is_finite());
-        assert!(post.nu2.as_slice().iter().all(|&x| x > 0.0));
+        assert!(post.lambda.iter().all(|x| x.is_finite()));
+        assert!(post.nu2.iter().all(|&x| x > 0.0));
         // φ rows are distributions.
         for slot in 0..2 {
             let s: f64 = post.phi[slot * 2..(slot + 1) * 2].iter().sum();
@@ -518,13 +480,13 @@ mod tests {
         let ctx = EStepContext::new(&params).unwrap();
         let phi_sum = Vector::from_vec(vec![2.0, 1.0, 0.5]);
         let nu2 = Vector::from_vec(vec![0.8, 1.2, 0.5]);
-        let lambda_w = vec![Vector::from_vec(vec![1.0, -0.5, 0.3])];
-        let nu2_w = vec![Vector::filled(3, 0.4)];
-        let feedback = TaskFeedbackStats::gather(&[(0, 2.0)], &lambda_w, &nu2_w, 3).unwrap();
+        let lambda_w = Slab::from_vec(3, vec![1.0, -0.5, 0.3]);
+        let nu2_w = Slab::filled(1, 3, 0.4);
+        let feedback = TaskFeedbackStats::gather(&[(0, 2.0)], &lambda_w, &nu2_w).unwrap();
         let objective = TaskMeanObjective {
             ctx: &ctx,
             phi_sum: &phi_sum,
-            nu2: &nu2,
+            nu2: nu2.as_slice(),
             epsilon: 3.5,
             num_tokens: 3.5,
             feedback: &feedback,
@@ -559,9 +521,8 @@ mod tests {
         let (ts, params, cfg) = toy();
         let ctx = EStepContext::new(&params).unwrap();
         let mut state = VariationalState::init(&ts, 2, 5);
-        let stats =
-            TaskFeedbackStats::gather(&ts.tasks()[0].scores, &state.lambda_w, &state.nu2_w, 2)
-                .unwrap();
+        let stats = TaskFeedbackStats::gather(&ts.tasks()[0].scores, &state.lambda_w, &state.nu2_w)
+            .unwrap();
         let update = TaskUpdate {
             words: &ts.tasks()[0].words,
             num_tokens: ts.tasks()[0].num_tokens,
@@ -598,7 +559,7 @@ mod tests {
             inv_tau2: 1.0 / ctx.tau2,
         };
         let mut grad = Vector::zeros(k);
-        objective.value_and_grad(post.lambda, &mut grad);
+        objective.value_and_grad(&Vector::from_vec(post.lambda.to_vec()), &mut grad);
         let gnorm = grad.norm();
         assert!(gnorm < 1e-3, "stationarity violated: |∇f| = {gnorm}");
     }
@@ -620,8 +581,8 @@ mod tests {
         let mut phi = [0.5; 2];
         let mut eps = 2.0;
         let mut post = TaskPosterior {
-            lambda: &mut lambda,
-            nu2: &mut nu2,
+            lambda: lambda.as_mut_slice(),
+            nu2: nu2.as_mut_slice(),
             phi: &mut phi[..],
             epsilon: &mut eps,
         };

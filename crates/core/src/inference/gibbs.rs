@@ -109,7 +109,7 @@ pub fn sample_posterior(
             let mut precision = ctx.sigma_w_inv.clone();
             let mut rhs = ctx.prior_rhs_w.clone();
             for &(j, s) in jobs {
-                precision.add_outer(inv_tau2, &c[j])?;
+                precision.add_outer(inv_tau2, c[j].as_slice())?;
                 rhs.axpy(inv_tau2 * s, &c[j])?;
             }
             let chol = Cholesky::factor_with_jitter(&precision, 1e-10, 40)?;
@@ -357,46 +357,12 @@ mod tests {
             seed: 3,
             ..crate::TdpmConfig::default()
         };
-        let ctx = EStepContext::new(&params).unwrap();
-        let mut state = crate::variational::VariationalState::init(&ts, k, cfg.seed);
-        let by_worker = ts.scores_by_worker();
-        let mut scratch = crate::inference::estep::EStepScratch::new(k);
+        let ctx = std::sync::Arc::new(EStepContext::new(&params).unwrap());
+        let mut state =
+            std::sync::Arc::new(crate::variational::VariationalState::init(&ts, k, cfg.seed));
+        let driver = crate::trainer::EmDriver::new(&ts, &cfg, &crowd_obs::Obs::noop());
         for _ in 0..60 {
-            let stats: Vec<crate::inference::estep::TaskFeedbackStats> = ts
-                .tasks()
-                .iter()
-                .map(|t| {
-                    crate::inference::estep::TaskFeedbackStats::gather(
-                        &t.scores,
-                        &state.lambda_w,
-                        &state.nu2_w,
-                        k,
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for (j, task) in ts.tasks().iter().enumerate() {
-                let update = crate::inference::estep::TaskUpdate {
-                    words: &task.words,
-                    num_tokens: task.num_tokens,
-                    feedback: &stats[j],
-                };
-                let mut post = crate::inference::estep::TaskPosterior {
-                    lambda: &mut state.lambda_c[j],
-                    nu2: &mut state.nu2_c[j],
-                    phi: state.phi.row_mut(j),
-                    epsilon: &mut state.epsilon[j],
-                };
-                crate::inference::estep::update_task(&update, &mut post, &ctx, &cfg).unwrap();
-            }
-            crate::inference::estep::update_workers(
-                &mut state,
-                &ts,
-                &ctx,
-                &by_worker,
-                &mut scratch,
-            )
-            .unwrap();
+            driver.e_step(&mut state, &ctx).unwrap();
         }
 
         let summary = sample_posterior(&params, &ts, &quick_cfg()).unwrap();
@@ -404,11 +370,11 @@ mod tests {
         let mut variational = Vec::new();
         let mut mcmc = Vec::new();
         for i in 0..ts.num_workers() {
-            variational.extend_from_slice(state.lambda_w[i].as_slice());
+            variational.extend_from_slice(&state.lambda_w[i]);
             mcmc.extend_from_slice(summary.worker_means[i].as_slice());
         }
         for j in 0..ts.num_tasks() {
-            variational.extend_from_slice(state.lambda_c[j].as_slice());
+            variational.extend_from_slice(&state.lambda_c[j]);
             mcmc.extend_from_slice(summary.task_means[j].as_slice());
         }
         let corr = crowd_math::stats::pearson(&variational, &mcmc).unwrap();

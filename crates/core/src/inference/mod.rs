@@ -12,7 +12,7 @@
 //!   criterion (`L'(q^{(n)}) − L'(q^{(n−1)}) ≤ ε` in Algorithm 2).
 //! - [`suffstats`]: the fixed-block sufficient-statistics scheme every
 //!   global reduction (M-step + ELBO) goes through, which is what keeps the
-//!   sharded fit bit-identical to the serial path for any shard count.
+//!   fit bit-identical for any shard count.
 //!
 //! The paper's appendix derivations contain several typos (dropped
 //! transposes, sign flips); the updates here are re-derived from the CTM
@@ -26,6 +26,15 @@ pub mod suffstats;
 
 use crate::params::ModelParams;
 use crowd_math::{Cholesky, Matrix, Result as MathResult};
+
+/// `y += alpha · x` over equal-length slices: [`crowd_math::Vector::axpy`]'s
+/// elementwise loop, for posterior rows that live in a [`crate::variational::Slab`].
+pub(crate) fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
+    debug_assert_eq!(y.len(), x.len(), "axpy length mismatch");
+    for (a, &b) in y.iter_mut().zip(x) {
+        *a += alpha * b;
+    }
+}
 
 /// Per-E-step precomputed quantities shared by every update.
 #[derive(Debug, Clone)]

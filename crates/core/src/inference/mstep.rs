@@ -2,11 +2,12 @@
 
 use crate::config::TdpmConfig;
 use crate::dataset::TrainingSet;
-use crate::inference::suffstats::{FirstMoments, SecondMoments};
+use crate::inference::suffstats::{FirstMoments, SecondMoments, ShardPlan};
 use crate::params::ModelParams;
 use crate::variational::VariationalState;
 use crate::{CoreError, Result};
-use crowd_math::{Matrix, Vector};
+use crowd_math::{Matrix, ScoringPool};
+use std::sync::Arc;
 
 /// Recomputes every model parameter from the current variational state.
 ///
@@ -18,53 +19,52 @@ use crowd_math::{Matrix, Vector};
 /// - `τ²` = mean expected squared residual over scored pairs (Eq. 20)
 /// - `β_{k,v} ∝ smoothing + Σ_j Σ_p φ_{j,p,k} 1[v_p = v]` (Eq. 21)
 ///
-/// Every reduction goes through the fixed-block [`suffstats`] scheme, so the
-/// serial path here is the bit-identity oracle for the sharded fit: sharded
-/// gathers of the same statistics, merged in shard-index order, fold to
-/// exactly these values (see `crate::inference::suffstats`).
+/// Every shard of `plan` gathers its fixed-block sufficient statistics on
+/// the scoring pool, and the partials fold in shard-index order (see
+/// `crate::inference::suffstats`), so the parameters are bit-identical for
+/// every plan. Two rounds: the first moments fix the means the second
+/// moments are gathered about.
 pub fn update_params(
     params: &mut ModelParams,
-    state: &VariationalState,
+    state: &Arc<VariationalState>,
     ts: &TrainingSet,
+    plan: &ShardPlan,
     cfg: &TdpmConfig,
     update_tau: bool,
 ) -> Result<()> {
-    let workers = 0..state.lambda_w.len();
-    let tasks = 0..state.lambda_c.len();
-    let first = FirstMoments::gather(state, workers.clone(), tasks.clone())?;
-    update_params_first(params, &first)?;
-    let second = SecondMoments::gather(
-        state,
-        ts.tasks(),
-        &params.mu_w,
-        &params.mu_c,
-        ts.vocab_size(),
-        workers,
-        tasks,
-    )?;
-    update_params_second(params, &second, cfg, update_tau)
-}
-
-/// First M-step half: prior means from reduced first moments (Eqs. 16, 18).
-/// Split out so the sharded trainer can merge per-shard gathers in between.
-pub(crate) fn update_params_first(params: &mut ModelParams, first: &FirstMoments) -> Result<()> {
+    let pool = ScoringPool::global();
+    let first_jobs: Vec<_> = (0..plan.num_shards())
+        .map(|s| {
+            let (wr, tr) = (plan.worker_range(s), plan.task_range(s));
+            let state = Arc::clone(state);
+            move || FirstMoments::gather(&state, wr, tr)
+        })
+        .collect();
+    let first = FirstMoments::merge(pool.run(first_jobs));
     params.mu_w = first
         .worker_mean()?
         .ok_or_else(|| CoreError::Numerical("M-step over an empty worker set".into()))?;
     if let Some(mu_c) = first.task_mean()? {
         params.mu_c = mu_c;
     }
-    Ok(())
-}
 
-/// Second M-step half: covariances, τ² and β from reduced second moments
-/// (Eqs. 17, 19–21), gathered about the means `update_params_first` set.
-pub(crate) fn update_params_second(
-    params: &mut ModelParams,
-    second: &SecondMoments,
-    cfg: &TdpmConfig,
-    update_tau: bool,
-) -> Result<()> {
+    let tasks = ts.tasks_shared();
+    let vocab_size = ts.vocab_size();
+    let mu_w = Arc::new(params.mu_w.clone());
+    let mu_c = Arc::new(params.mu_c.clone());
+    let second_jobs: Vec<_> = (0..plan.num_shards())
+        .map(|s| {
+            let (wr, tr) = (plan.worker_range(s), plan.task_range(s));
+            let state = Arc::clone(state);
+            let tasks = Arc::clone(&tasks);
+            let mu_w = Arc::clone(&mu_w);
+            let mu_c = Arc::clone(&mu_c);
+            move || SecondMoments::gather(&state, &tasks, &mu_w, &mu_c, vocab_size, wr, tr)
+        })
+        .collect();
+    let parts: Result<Vec<SecondMoments>> = pool.run(second_jobs).into_iter().collect();
+    let second = SecondMoments::merge(parts?);
+
     if let Some(mut cov) =
         second.worker_covariance(cfg.covariance_ridge, cfg.diagonal_covariance)?
     {
@@ -108,14 +108,13 @@ fn floor_diag(cov: &mut Matrix, floor: f64) {
 /// ```
 pub fn expected_sq_residual(
     s: f64,
-    lambda_w: &Vector,
-    nu2_w: &Vector,
-    lambda_c: &Vector,
-    nu2_c: &Vector,
+    lambda_w: &[f64],
+    nu2_w: &[f64],
+    lambda_c: &[f64],
+    nu2_c: &[f64],
 ) -> f64 {
-    // Both vectors are K-dimensional by construction; `kernels::dot` keeps
-    // the exact accumulation order of `Vector::dot` without the dims check.
-    let dot = crowd_math::kernels::dot(lambda_w.as_slice(), lambda_c.as_slice());
+    // Both rows are K-dimensional by construction.
+    let dot = crowd_math::kernels::dot(lambda_w, lambda_c);
     let mut second = dot * dot;
     for kk in 0..lambda_w.len() {
         second += nu2_w[kk] * lambda_c[kk] * lambda_c[kk]
@@ -129,6 +128,7 @@ pub fn expected_sq_residual(
 mod tests {
     use super::*;
     use crate::dataset::TaskData;
+    use crowd_math::Vector;
     use crowd_store::TaskId;
 
     fn toy_state() -> (TrainingSet, VariationalState, TdpmConfig) {
@@ -147,13 +147,24 @@ mod tests {
         (ts, state, cfg)
     }
 
+    /// One M-step over a one-shard plan, with τ updated.
+    fn m_step(
+        params: &mut ModelParams,
+        state: VariationalState,
+        ts: &TrainingSet,
+        cfg: &TdpmConfig,
+    ) {
+        let plan = ShardPlan::new(ts.num_workers(), ts.num_tasks(), 1);
+        update_params(params, &Arc::new(state), ts, &plan, cfg, true).unwrap();
+    }
+
     #[test]
     fn mu_is_mean_of_lambdas() {
         let (ts, mut state, cfg) = toy_state();
-        state.lambda_w[0] = Vector::from_vec(vec![1.0, 0.0]);
-        state.lambda_w[1] = Vector::from_vec(vec![3.0, 2.0]);
+        state.lambda_w[0].copy_from_slice(&[1.0, 0.0]);
+        state.lambda_w[1].copy_from_slice(&[3.0, 2.0]);
         let mut params = ModelParams::neutral(2, 2);
-        update_params(&mut params, &state, &ts, &cfg, true).unwrap();
+        m_step(&mut params, state, &ts, &cfg);
         assert!((params.mu_w[0] - 2.0).abs() < 1e-12);
         assert!((params.mu_w[1] - 1.0).abs() < 1e-12);
     }
@@ -162,12 +173,12 @@ mod tests {
     fn covariance_includes_variational_variance() {
         let (ts, mut state, cfg) = toy_state();
         // Identical means → scatter 0; covariance must equal mean ν² (+ridge).
-        state.lambda_w[0] = Vector::zeros(2);
-        state.lambda_w[1] = Vector::zeros(2);
-        state.nu2_w[0] = Vector::from_vec(vec![0.5, 0.5]);
-        state.nu2_w[1] = Vector::from_vec(vec![1.5, 1.5]);
+        state.lambda_w[0].fill(0.0);
+        state.lambda_w[1].fill(0.0);
+        state.nu2_w[0].copy_from_slice(&[0.5, 0.5]);
+        state.nu2_w[1].copy_from_slice(&[1.5, 1.5]);
         let mut params = ModelParams::neutral(2, 2);
-        update_params(&mut params, &state, &ts, &cfg, true).unwrap();
+        m_step(&mut params, state, &ts, &cfg);
         assert!((params.sigma_w[(0, 0)] - (1.0 + cfg.covariance_ridge)).abs() < 1e-9);
         assert!(params.sigma_w[(0, 1)].abs() < 1e-9);
     }
@@ -175,15 +186,15 @@ mod tests {
     #[test]
     fn diagonal_mode_zeroes_off_diagonals() {
         let (ts, mut state, _) = toy_state();
-        state.lambda_w[0] = Vector::from_vec(vec![1.0, 1.0]);
-        state.lambda_w[1] = Vector::from_vec(vec![-1.0, -1.0]);
+        state.lambda_w[0].copy_from_slice(&[1.0, 1.0]);
+        state.lambda_w[1].copy_from_slice(&[-1.0, -1.0]);
         let cfg = TdpmConfig {
             num_categories: 2,
             diagonal_covariance: true,
             ..TdpmConfig::default()
         };
         let mut params = ModelParams::neutral(2, 2);
-        update_params(&mut params, &state, &ts, &cfg, true).unwrap();
+        m_step(&mut params, state, &ts, &cfg);
         assert_eq!(params.sigma_w[(0, 1)], 0.0);
         assert!(params.sigma_w[(0, 0)] > 1.0, "scatter present on diagonal");
     }
@@ -194,7 +205,7 @@ mod tests {
         // Put all responsibility for both words on topic 0.
         state.phi.row_mut(0).copy_from_slice(&[1.0, 0.0, 1.0, 0.0]);
         let mut params = ModelParams::neutral(2, 2);
-        update_params(&mut params, &state, &ts, &cfg, true).unwrap();
+        m_step(&mut params, state, &ts, &cfg);
         for kk in 0..2 {
             let sum: f64 = params.beta.row(kk).iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
@@ -211,12 +222,12 @@ mod tests {
         // Deterministic posteriors: w0 = (1,0), w1 = (0,1), c = (2,0),
         // variances ~0 → residuals: (2 − 2)² = 0 and (0 − 0)² = 0 … make it
         // nontrivial: s0 = 3 → (3−2)² = 1; s1 = 1 → (1−0)² = 1. Mean = 1.
-        state.lambda_w[0] = Vector::from_vec(vec![1.0, 0.0]);
-        state.lambda_w[1] = Vector::from_vec(vec![0.0, 1.0]);
-        state.nu2_w[0] = Vector::filled(2, 0.0);
-        state.nu2_w[1] = Vector::filled(2, 0.0);
-        state.lambda_c[0] = Vector::from_vec(vec![2.0, 0.0]);
-        state.nu2_c[0] = Vector::filled(2, 0.0);
+        state.lambda_w[0].copy_from_slice(&[1.0, 0.0]);
+        state.lambda_w[1].copy_from_slice(&[0.0, 1.0]);
+        state.nu2_w[0].fill(0.0);
+        state.nu2_w[1].fill(0.0);
+        state.lambda_c[0].copy_from_slice(&[2.0, 0.0]);
+        state.nu2_c[0].fill(0.0);
         let tasks = vec![TaskData {
             task: TaskId(0),
             words: vec![(0, 1)],
@@ -225,7 +236,7 @@ mod tests {
         }];
         let ts2 = TrainingSet::from_parts(tasks, 2, 2);
         let mut params = ModelParams::neutral(2, 2);
-        update_params(&mut params, &state, &ts2, &cfg, true).unwrap();
+        m_step(&mut params, state, &ts2, &cfg);
         assert!(
             (params.tau2() - 1.0).abs() < 1e-9,
             "tau² = {}",
@@ -239,7 +250,13 @@ mod tests {
         let lw = Vector::from_vec(vec![1.0, 2.0]);
         let lc = Vector::from_vec(vec![0.5, 0.5]);
         let zero = Vector::zeros(2);
-        let r = expected_sq_residual(2.0, &lw, &zero, &lc, &zero);
+        let r = expected_sq_residual(
+            2.0,
+            lw.as_slice(),
+            zero.as_slice(),
+            lc.as_slice(),
+            zero.as_slice(),
+        );
         // wᵀc = 1.5 → (2 − 1.5)² = 0.25.
         assert!((r - 0.25).abs() < 1e-12);
     }
@@ -249,12 +266,12 @@ mod tests {
         let (ts, mut state, cfg) = toy_state();
         // Posteriors collapsed onto a common mean with tiny variances: the
         // raw moment estimate would be ~0; the floor must hold it up.
-        state.lambda_w[0] = Vector::from_vec(vec![0.1, 0.1]);
-        state.lambda_w[1] = Vector::from_vec(vec![0.1, 0.1]);
-        state.nu2_w[0] = Vector::filled(2, 1e-6);
-        state.nu2_w[1] = Vector::filled(2, 1e-6);
+        state.lambda_w[0].copy_from_slice(&[0.1, 0.1]);
+        state.lambda_w[1].copy_from_slice(&[0.1, 0.1]);
+        state.nu2_w[0].fill(1e-6);
+        state.nu2_w[1].fill(1e-6);
         let mut params = ModelParams::neutral(2, 2);
-        update_params(&mut params, &state, &ts, &cfg, true).unwrap();
+        m_step(&mut params, state, &ts, &cfg);
         for i in 0..2 {
             assert!(
                 params.sigma_w[(i, i)] >= cfg.min_prior_var,
@@ -268,10 +285,10 @@ mod tests {
     #[test]
     fn tau_floor_is_respected() {
         let (_, mut state, cfg) = toy_state();
-        state.lambda_w[0] = Vector::from_vec(vec![1.0, 0.0]);
-        state.nu2_w[0] = Vector::filled(2, 0.0);
-        state.lambda_c[0] = Vector::from_vec(vec![2.0, 0.0]);
-        state.nu2_c[0] = Vector::filled(2, 0.0);
+        state.lambda_w[0].copy_from_slice(&[1.0, 0.0]);
+        state.nu2_w[0].fill(0.0);
+        state.lambda_c[0].copy_from_slice(&[2.0, 0.0]);
+        state.nu2_c[0].fill(0.0);
         // Perfect prediction → residual 0 → floor kicks in.
         let tasks = vec![TaskData {
             task: TaskId(0),
@@ -281,7 +298,7 @@ mod tests {
         }];
         let ts = TrainingSet::from_parts(tasks, 2, 2);
         let mut params = ModelParams::neutral(2, 2);
-        update_params(&mut params, &state, &ts, &cfg, true).unwrap();
+        m_step(&mut params, state, &ts, &cfg);
         assert!((params.tau2() - cfg.min_tau2).abs() < 1e-12);
     }
 }

@@ -15,14 +15,14 @@
 //! contiguous ranges aligned to block boundaries, so each shard produces
 //! exactly the block partials of its range; concatenating the per-shard
 //! partials in fixed shard-index order recreates the global block list, and
-//! the fold is bit-identical to the serial path for every shard count.
+//! the fold is bit-identical for every shard count.
 
 use crate::dataset::TaskData;
 use crate::inference::elbo::{gaussian_kl, ElboBreakdown};
 use crate::inference::estep::expected_word_ll;
 use crate::inference::mstep::expected_sq_residual;
 use crate::inference::EStepContext;
-use crate::variational::VariationalState;
+use crate::variational::{Slab, VariationalState};
 use crate::Result;
 use crowd_math::{Matrix, Vector};
 use std::ops::Range;
@@ -107,15 +107,17 @@ pub struct MomentBlock {
     count: usize,
 }
 
-fn moment_blocks(means: &[Vector], range: Range<usize>) -> Result<Vec<MomentBlock>> {
+fn moment_blocks(means: &Slab, range: Range<usize>) -> Vec<MomentBlock> {
     blocks(range)
         .map(|b| {
-            let mut sum = Vector::zeros(means[b.start].len());
+            let mut sum = Vector::zeros(means.width());
             let count = b.len();
-            for mean in &means[b] {
-                sum.add_assign(mean)?;
+            for i in b {
+                for (acc, &x) in sum.as_mut_slice().iter_mut().zip(&means[i]) {
+                    *acc += x;
+                }
             }
-            Ok(MomentBlock { sum, count })
+            MomentBlock { sum, count }
         })
         .collect()
 }
@@ -146,15 +148,11 @@ pub struct FirstMoments {
 
 impl FirstMoments {
     /// Gathers the block partials of the given (block-aligned) ranges.
-    pub fn gather(
-        state: &VariationalState,
-        workers: Range<usize>,
-        tasks: Range<usize>,
-    ) -> Result<Self> {
-        Ok(FirstMoments {
-            worker: moment_blocks(&state.lambda_w, workers)?,
-            task: moment_blocks(&state.lambda_c, tasks)?,
-        })
+    pub fn gather(state: &VariationalState, workers: Range<usize>, tasks: Range<usize>) -> Self {
+        FirstMoments {
+            worker: moment_blocks(&state.lambda_w, workers),
+            task: moment_blocks(&state.lambda_c, tasks),
+        }
     }
 
     /// Concatenates per-shard partials in shard-index order.
@@ -193,21 +191,26 @@ pub struct ScatterBlock {
 }
 
 fn scatter_blocks(
-    means: &[Vector],
-    vars: &[Vector],
+    means: &Slab,
+    vars: &Slab,
     mu: &Vector,
     range: Range<usize>,
 ) -> Result<Vec<ScatterBlock>> {
     let k = mu.len();
+    let mut d = vec![0.0; k];
     blocks(range)
         .map(|b| {
             let mut scatter = Matrix::zeros(k, k);
             let mut sum_nu2 = Vector::zeros(k);
             let count = b.len();
             for i in b {
-                let d = means[i].sub(mu)?;
+                for ((dk, &m), &mu_k) in d.iter_mut().zip(&means[i]).zip(mu.as_slice()) {
+                    *dk = m - mu_k;
+                }
                 scatter.add_outer(1.0, &d)?;
-                sum_nu2.add_assign(&vars[i])?;
+                for (acc, &v) in sum_nu2.as_mut_slice().iter_mut().zip(&vars[i]) {
+                    *acc += v;
+                }
             }
             Ok(ScatterBlock {
                 scatter,
@@ -373,7 +376,7 @@ fn fold_covariance(parts: &[ScatterBlock], ridge: f64, diagonal: bool) -> Result
     cov.scale(1.0 / n);
     cov.symmetrize();
     mean_var.scale(1.0 / n);
-    cov.add_diag(&mean_var)?;
+    cov.add_diag(mean_var.as_slice())?;
     cov.add_ridge(ridge);
     if diagonal {
         let d = cov.diag();
@@ -426,7 +429,7 @@ impl ElboPartials {
                     worker_prior -= gaussian_kl(
                         &state.lambda_w[i],
                         &state.nu2_w[i],
-                        &ctx.mu_w,
+                        ctx.mu_w.as_slice(),
                         &ctx.sigma_w_inv,
                         ctx.log_det_sigma_w,
                     );
@@ -445,7 +448,7 @@ impl ElboPartials {
                     task_prior -= gaussian_kl(
                         &state.lambda_c[j],
                         &state.nu2_c[j],
-                        &ctx.mu_c,
+                        ctx.mu_c.as_slice(),
                         &ctx.sigma_c_inv,
                         ctx.log_det_sigma_c,
                     );
@@ -555,17 +558,20 @@ mod tests {
 
     #[test]
     fn sharded_moment_blocks_concatenate_to_global() {
-        let means: Vec<Vector> = (0..600)
-            .map(|i| Vector::from_vec(vec![i as f64 * 0.25, 1.0 / (1.0 + i as f64)]))
-            .collect();
+        let means = Slab::from_vec(
+            2,
+            (0..600)
+                .flat_map(|i| [i as f64 * 0.25, 1.0 / (1.0 + i as f64)])
+                .collect(),
+        );
         let state = |_: ()| ();
         let _ = state;
-        let global = moment_blocks(&means, 0..means.len()).unwrap();
+        let global = moment_blocks(&means, 0..means.len());
         for shards in [1usize, 2, 3, 4] {
             let plan = ShardPlan::new(means.len(), 0, shards);
             let mut merged: Vec<MomentBlock> = Vec::new();
             for s in 0..plan.num_shards() {
-                merged.extend(moment_blocks(&means, plan.worker_range(s)).unwrap());
+                merged.extend(moment_blocks(&means, plan.worker_range(s)));
             }
             assert_eq!(merged.len(), global.len(), "shards={shards}");
             for (a, b) in merged.iter().zip(&global) {
@@ -577,10 +583,8 @@ mod tests {
 
     #[test]
     fn fold_mean_matches_two_block_hand_sum() {
-        let means: Vec<Vector> = (0..SUFF_BLOCK + 3)
-            .map(|i| Vector::from_vec(vec![0.1 * i as f64]))
-            .collect();
-        let parts = moment_blocks(&means, 0..means.len()).unwrap();
+        let means = Slab::from_vec(1, (0..SUFF_BLOCK + 3).map(|i| 0.1 * i as f64).collect());
+        let parts = moment_blocks(&means, 0..means.len());
         assert_eq!(parts.len(), 2);
         let mean = fold_mean(&parts).unwrap().unwrap();
         let b0: f64 = (0..SUFF_BLOCK).fold(0.0, |acc, i| acc + 0.1 * i as f64);

@@ -343,8 +343,8 @@ impl TdpmModel {
                 feedback: &empty,
             };
             let mut post = TaskPosterior {
-                lambda: &mut lambda,
-                nu2: &mut nu2,
+                lambda: lambda.as_mut_slice(),
+                nu2: nu2.as_mut_slice(),
                 phi: &mut phi[..],
                 epsilon: &mut epsilon,
             };
@@ -521,8 +521,8 @@ impl TdpmModel {
             skill.sum_diag.scale(rho);
             skill.precision_chol = None;
         }
-        skill.sum_cc.add_outer(1.0, &projection.lambda)?;
-        skill.sum_cc.add_diag(&projection.nu2)?;
+        skill.sum_cc.add_outer(1.0, projection.lambda.as_slice())?;
+        skill.sum_cc.add_diag(projection.nu2.as_slice())?;
         skill.sum_sc.axpy(score, &projection.lambda)?;
         for kk in 0..k {
             skill.sum_diag[kk] +=

@@ -1,69 +1,27 @@
 //! The iterative optimization loop (paper Algorithm 2).
 
 use crate::config::TdpmConfig;
-use crate::dataset::TrainingSet;
-use crate::inference::elbo::{elbo, ElboBreakdown};
-use crate::inference::estep::{
-    run_worker_range, update_task, update_workers, EStepScratch, TaskFeedbackStats, TaskPosterior,
-    TaskUpdate,
-};
-use crate::inference::mstep::{update_params, update_params_first, update_params_second};
-use crate::inference::suffstats::{ElboPartials, FirstMoments, SecondMoments, ShardPlan};
-use crate::inference::EStepContext;
+use crate::dataset::{ScoresByWorker, TrainingSet};
+use crate::inference::elbo::elbo;
+use crate::inference::estep::{run_task_range, run_worker_range};
+use crate::inference::mstep::update_params;
+use crate::inference::suffstats::ShardPlan;
+use crate::inference::{axpy, EStepContext};
 use crate::model::TdpmModel;
 use crate::params::ModelParams;
-use crate::variational::{PhiRowAccess, VariationalState};
+use crate::variational::VariationalState;
 use crate::{CoreError, Result};
-use crowd_math::{Matrix, Validate, Vector};
+use crowd_math::{Matrix, ScoringPool, Validate, Vector};
 use crowd_select::FitDiagnostics;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Runs the task E-step for a contiguous range of tasks.
-///
-/// Written once against [`PhiRowAccess`] so the inline path (borrowed
-/// [`crate::variational::PhiRowsMut`] view) and the pooled path (owned
-/// per-chunk row copies) execute the identical deterministic updates —
-/// which is the whole bit-identity argument for parallelizing this phase:
-/// task posteriors are mutually independent given the (read-only here)
-/// worker posteriors.
-#[allow(clippy::too_many_arguments)]
-fn run_task_range<P: PhiRowAccess>(
-    tasks: &[crate::dataset::TaskData],
-    lambda_w: &[Vector],
-    nu2_w: &[Vector],
-    lambda_c: &mut [Vector],
-    nu2_c: &mut [Vector],
-    phi: &mut P,
-    epsilon: &mut [f64],
-    ctx: &EStepContext,
-    config: &TdpmConfig,
-) -> Result<()> {
-    let k = config.num_categories;
-    for (j, task) in tasks.iter().enumerate() {
-        let stats = TaskFeedbackStats::gather(&task.scores, lambda_w, nu2_w, k)?;
-        let update = TaskUpdate {
-            words: &task.words,
-            num_tokens: task.num_tokens,
-            feedback: &stats,
-        };
-        let mut post = TaskPosterior {
-            lambda: &mut lambda_c[j],
-            nu2: &mut nu2_c[j],
-            phi: phi.row_mut(j),
-            epsilon: &mut epsilon[j],
-        };
-        update_task(&update, &mut post, ctx, config)?;
-    }
-    Ok(())
-}
+use std::time::Instant;
 
 /// Per-shard work ranges, each split into up to `threads` contiguous
-/// subchunks — the unit of pooled work for both E-step halves. With one
-/// shard this degenerates to the plain `n.div_ceil(threads)` chunking the
-/// pooled path has always used.
+/// subchunks — the unit of pooled work for both E-step halves. One shard
+/// and one thread give one chunk covering the whole axis.
 fn shard_chunks(
     plan: &ShardPlan,
     range_of: impl Fn(usize) -> Range<usize>,
@@ -85,253 +43,130 @@ fn shard_chunks(
     ranges
 }
 
-/// Runs the task E-step over every task, inline or chunked across the
-/// persistent [`crowd_math::ScoringPool`].
+/// Updates one half of the posteriors chunk by chunk on the persistent
+/// [`ScoringPool`]: `take` hands each chunk's rows to its job, `job` updates
+/// them against the rest of the state (shared by `Arc` handle, read-only),
+/// and `put` writes every chunk back in chunk order — even when one errs,
+/// so sibling chunks' updates stay applied; the first error is returned.
 ///
-/// Pooled jobs are `'static`, so the mutable per-task state round-trips
-/// through them as owned copies: each chunk's `λ_c` / `ν_c²` / `φ` rows /
-/// `ε` are copied out, updated by the job, and written back in chunk order.
-/// The read-only worker side rides along as `Arc` snapshots. The copies are
-/// O(state) per iteration — noise against the E-step's per-task solves —
-/// and the updates themselves are [`run_task_range`] in both paths, so
-/// pooled results are bit-identical to sequential ones for any shard or
-/// thread count (task posteriors are mutually independent).
-fn update_all_tasks(
-    ts: &TrainingSet,
-    state: &mut VariationalState,
-    ctx: &Arc<EStepContext>,
-    config: &TdpmConfig,
-    plan: &ShardPlan,
-) -> Result<()> {
-    let threads = config.num_threads.max(1).min(ts.num_tasks().max(1));
-
-    if plan.num_shards() <= 1 && threads <= 1 {
-        let mut phi = state.phi.rows_mut();
-        return run_task_range(
-            ts.tasks(),
-            &state.lambda_w,
-            &state.nu2_w,
-            &mut state.lambda_c,
-            &mut state.nu2_c,
-            &mut phi,
-            &mut state.epsilon,
-            ctx,
-            config,
-        );
-    }
-
-    let tasks = ts.tasks_shared();
-    let lambda_w = Arc::new(state.lambda_w.clone());
-    let nu2_w = Arc::new(state.nu2_w.clone());
-    let config_arc = Arc::new(config.clone());
-
-    type ChunkOut = (
-        Vec<Vector>,
-        Vec<Vector>,
-        Vec<Vec<f64>>,
-        Vec<f64>,
-        Result<()>,
-    );
-    let mut starts = Vec::new();
-    let jobs: Vec<_> = shard_chunks(plan, |s| plan.task_range(s), threads)
-        .into_iter()
-        .map(|r| {
-            let (start, end) = (r.start, r.end);
-            starts.push(start);
-            let lc: Vec<Vector> = state.lambda_c[start..end].to_vec();
-            let nc: Vec<Vector> = state.nu2_c[start..end].to_vec();
-            let phi_rows: Vec<Vec<f64>> = (start..end).map(|j| state.phi.row(j).to_vec()).collect();
-            let eps: Vec<f64> = state.epsilon[start..end].to_vec();
-            let tasks = Arc::clone(&tasks);
-            let lambda_w = Arc::clone(&lambda_w);
-            let nu2_w = Arc::clone(&nu2_w);
-            let ctx = Arc::clone(ctx);
-            let config = Arc::clone(&config_arc);
-            move || -> ChunkOut {
-                let (mut lc, mut nc, mut phi_rows, mut eps) = (lc, nc, phi_rows, eps);
-                let outcome = run_task_range(
-                    &tasks[start..end],
-                    &lambda_w,
-                    &nu2_w,
-                    &mut lc,
-                    &mut nc,
-                    &mut phi_rows,
-                    &mut eps,
-                    &ctx,
-                    &config,
-                );
-                (lc, nc, phi_rows, eps, outcome)
+/// A one-chunk phase moves the rows out and back and copies nothing; the
+/// pool runs its single job inline. With more chunks, each copies its
+/// contiguous row range out and back once. `chunks` must be non-empty
+/// ranges that partition the axis, as [`shard_chunks`] makes them.
+/// `Arc::make_mut` never copies the state: every job has dropped its
+/// handle when `ScoringPool::run` returns.
+fn update_chunks<R, J>(
+    state: &mut Arc<VariationalState>,
+    chunks: Vec<Range<usize>>,
+    take: fn(&mut VariationalState, Range<usize>) -> R,
+    put: fn(&mut VariationalState, usize, R),
+    job: J,
+) -> Result<()>
+where
+    R: Send + 'static,
+    J: Fn(&VariationalState, Range<usize>, &mut R) -> Result<()> + Clone + Send + 'static,
+{
+    let parts: Vec<R> = {
+        let st = Arc::make_mut(state);
+        chunks.iter().map(|r| take(st, r.clone())).collect()
+    };
+    let jobs: Vec<_> = chunks
+        .iter()
+        .cloned()
+        .zip(parts)
+        .map(|(r, mut rows)| {
+            let shared = Arc::clone(state);
+            let job = job.clone();
+            move || {
+                let outcome = job(&shared, r, &mut rows);
+                (rows, outcome)
             }
         })
         .collect();
-
-    let mut first_err: Option<CoreError> = None;
-    for (start, (lc, nc, phi_rows, eps, outcome)) in starts
-        .into_iter()
-        .zip(crowd_math::ScoringPool::global().run(jobs))
-    {
-        // Write every chunk back even when one errs: the in-place scheme
-        // this replaces also left sibling chunks' updates applied.
-        for (off, v) in lc.into_iter().enumerate() {
-            state.lambda_c[start + off] = v;
-        }
-        for (off, v) in nc.into_iter().enumerate() {
-            state.nu2_c[start + off] = v;
-        }
-        for (off, row) in phi_rows.into_iter().enumerate() {
-            state.phi.row_mut(start + off).copy_from_slice(&row);
-        }
-        for (off, v) in eps.into_iter().enumerate() {
-            state.epsilon[start + off] = v;
-        }
-        if let (Err(e), None) = (outcome, &first_err) {
-            first_err = Some(e);
-        }
+    let done = ScoringPool::global().run(jobs);
+    debug_assert_eq!(Arc::strong_count(state), 1, "a pool job kept its handle");
+    let st = Arc::make_mut(state);
+    let mut outcome = Ok(());
+    for (r, (rows, chunk_outcome)) in chunks.into_iter().zip(done) {
+        put(st, r.start, rows);
+        outcome = outcome.and(chunk_outcome);
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    outcome
 }
 
-/// Runs the worker E-step chunked across the persistent scoring pool.
+/// The fixed inputs of one EM run, and the metric handles its E-step
+/// records into.
 ///
-/// Same owned-copy round-trip scheme as [`update_all_tasks`]: each chunk
-/// copies its `λ_w` / `ν_w²` rows out, updates them with
-/// [`run_worker_range`] against `Arc` snapshots of the (read-only) task
-/// posteriors, and is written back in chunk order with first-error
-/// propagation. Worker posteriors are mutually independent given the task
-/// posteriors, so results are bit-identical to the serial sweep for any
-/// shard or thread count.
-fn update_workers_pooled(
-    state: &mut VariationalState,
-    ctx: &Arc<EStepContext>,
-    by_worker: &Arc<Vec<Vec<(usize, f64)>>>,
-    config: &TdpmConfig,
-    plan: &ShardPlan,
-) -> Result<()> {
-    let k = config.num_categories;
-    let threads = config.num_threads.max(1).min(state.lambda_w.len().max(1));
-    let lambda_c = Arc::new(state.lambda_c.clone());
-    let nu2_c = Arc::new(state.nu2_c.clone());
-
-    type WorkerOut = (Vec<Vector>, Vec<Vector>, Result<()>);
-    let mut starts = Vec::new();
-    let jobs: Vec<_> = shard_chunks(plan, |s| plan.worker_range(s), threads)
-        .into_iter()
-        .map(|r| {
-            starts.push(r.start);
-            let lw: Vec<Vector> = state.lambda_w[r.clone()].to_vec();
-            let nw: Vec<Vector> = state.nu2_w[r.clone()].to_vec();
-            let by_worker = Arc::clone(by_worker);
-            let lambda_c = Arc::clone(&lambda_c);
-            let nu2_c = Arc::clone(&nu2_c);
-            let ctx = Arc::clone(ctx);
-            move || -> WorkerOut {
-                let (mut lw, mut nw) = (lw, nw);
-                let mut scratch = EStepScratch::new(k);
-                let outcome = run_worker_range(
-                    r.start,
-                    &mut lw,
-                    &mut nw,
-                    &by_worker,
-                    &lambda_c,
-                    &nu2_c,
-                    &ctx,
-                    &mut scratch,
-                );
-                (lw, nw, outcome)
-            }
-        })
-        .collect();
-
-    let mut first_err: Option<CoreError> = None;
-    for (start, (lw, nw, outcome)) in starts
-        .into_iter()
-        .zip(crowd_math::ScoringPool::global().run(jobs))
-    {
-        for (off, v) in lw.into_iter().enumerate() {
-            state.lambda_w[start + off] = v;
-        }
-        for (off, v) in nw.into_iter().enumerate() {
-            state.nu2_w[start + off] = v;
-        }
-        if let (Err(e), None) = (outcome, &first_err) {
-            first_err = Some(e);
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+/// Every phase runs over `plan`'s block-aligned shards on the scoring pool;
+/// `num_shards = num_threads = 1` is the one-chunk plan. Per-entity updates
+/// are mutually independent within each E-step half and every global sum
+/// uses the fixed-block reduction tree (`crate::inference::suffstats`), so
+/// the fit is bit-identical for every shard and thread count (DESIGN §11).
+pub(crate) struct EmDriver<'a> {
+    ts: &'a TrainingSet,
+    config: Arc<TdpmConfig>,
+    plan: ShardPlan,
+    by_worker: Arc<ScoresByWorker>,
+    estep_task_secs: Arc<crowd_obs::Histogram>,
+    estep_worker_secs: Arc<crowd_obs::Histogram>,
+    validations: Arc<crowd_obs::Counter>,
 }
 
-/// Gathers the ELBO's block partials per shard on the pool and folds the
-/// merged list — bit-identical to the serial [`elbo`] because both reduce
-/// the same fixed-block partials in the same global order.
-fn elbo_sharded(
-    snapshot: &Arc<VariationalState>,
-    tasks: &Arc<Vec<crate::dataset::TaskData>>,
-    ctx: &Arc<EStepContext>,
-    plan: &ShardPlan,
-) -> ElboBreakdown {
-    let jobs: Vec<_> = (0..plan.num_shards())
-        .map(|s| {
-            let (wr, tr) = (plan.worker_range(s), plan.task_range(s));
-            let state = Arc::clone(snapshot);
-            let tasks = Arc::clone(tasks);
-            let ctx = Arc::clone(ctx);
-            move || ElboPartials::gather(&state, &tasks, &ctx, wr, tr)
-        })
-        .collect();
-    ElboPartials::merge(crowd_math::ScoringPool::global().run(jobs)).fold()
-}
+impl<'a> EmDriver<'a> {
+    pub(crate) fn new(ts: &'a TrainingSet, config: &TdpmConfig, obs: &crowd_obs::Obs) -> Self {
+        let m = &obs.metrics;
+        EmDriver {
+            ts,
+            config: Arc::new(config.clone()),
+            plan: ShardPlan::new(ts.num_workers(), ts.num_tasks(), config.num_shards),
+            by_worker: Arc::new(ts.scores_by_worker()),
+            estep_task_secs: m.histogram("trainer", "estep_task_seconds"),
+            estep_worker_secs: m.histogram("trainer", "estep_worker_seconds"),
+            validations: m.counter("validate", "checks"),
+        }
+    }
 
-/// The sharded M-step: every shard gathers its fixed-block sufficient
-/// statistics on the pool, the merged (shard-index-ordered) partials fold
-/// to the same reductions [`update_params`] computes serially. Two rounds —
-/// first moments fix the means the second moments are gathered about.
-fn update_params_sharded(
-    params: &mut ModelParams,
-    snapshot: &Arc<VariationalState>,
-    tasks: &Arc<Vec<crate::dataset::TaskData>>,
-    vocab_size: usize,
-    plan: &ShardPlan,
-    cfg: &TdpmConfig,
-    update_tau: bool,
-) -> Result<()> {
-    let first_jobs: Vec<_> = (0..plan.num_shards())
-        .map(|s| {
-            let (wr, tr) = (plan.worker_range(s), plan.task_range(s));
-            let state = Arc::clone(snapshot);
-            move || FirstMoments::gather(&state, wr, tr)
-        })
-        .collect();
-    let parts: Result<Vec<FirstMoments>> = crowd_math::ScoringPool::global()
-        .run(first_jobs)
-        .into_iter()
-        .collect();
-    let first = FirstMoments::merge(parts?);
-    update_params_first(params, &first)?;
+    /// One E-step: every task posterior (Eqs. 12–15), then every worker
+    /// posterior (Eqs. 10–11). Tasks go first: on the first iteration the
+    /// prior-scale random worker means act as the symmetry breaker that
+    /// pulls each task's category toward the workers who scored well on it.
+    pub(crate) fn e_step(
+        &self,
+        state: &mut Arc<VariationalState>,
+        ctx: &Arc<EStepContext>,
+    ) -> Result<()> {
+        let threads = self.config.num_threads;
 
-    let mu_w = Arc::new(params.mu_w.clone());
-    let mu_c = Arc::new(params.mu_c.clone());
-    let second_jobs: Vec<_> = (0..plan.num_shards())
-        .map(|s| {
-            let (wr, tr) = (plan.worker_range(s), plan.task_range(s));
-            let state = Arc::clone(snapshot);
-            let tasks = Arc::clone(tasks);
-            let mu_w = Arc::clone(&mu_w);
-            let mu_c = Arc::clone(&mu_c);
-            move || SecondMoments::gather(&state, &tasks, &mu_w, &mu_c, vocab_size, wr, tr)
-        })
-        .collect();
-    let parts: Result<Vec<SecondMoments>> = crowd_math::ScoringPool::global()
-        .run(second_jobs)
-        .into_iter()
-        .collect();
-    let second = SecondMoments::merge(parts?);
-    update_params_second(params, &second, cfg, update_tau)
+        let t0 = Instant::now();
+        let tasks = self.ts.tasks_shared();
+        let (ctx_a, cfg) = (Arc::clone(ctx), Arc::clone(&self.config));
+        update_chunks(
+            state,
+            shard_chunks(&self.plan, |s| self.plan.task_range(s), threads),
+            VariationalState::take_tasks,
+            VariationalState::put_tasks,
+            move |shared, r, rows| run_task_range(&tasks[r], shared, rows, &ctx_a, &cfg),
+        )?;
+        self.estep_task_secs.observe_duration(t0.elapsed());
+        crate::validate::run(&self.validations, "E-step (task posteriors)", || {
+            Validate::validate(&**state)
+        });
+
+        let t1 = Instant::now();
+        let (by_worker, ctx_b) = (Arc::clone(&self.by_worker), Arc::clone(ctx));
+        update_chunks(
+            state,
+            shard_chunks(&self.plan, |s| self.plan.worker_range(s), threads),
+            VariationalState::take_workers,
+            VariationalState::put_workers,
+            move |shared, r, rows| run_worker_range(r.start, rows, &by_worker, shared, &ctx_b),
+        )?;
+        self.estep_worker_secs.observe_duration(t1.elapsed());
+        crate::validate::run(&self.validations, "E-step (worker posteriors)", || {
+            Validate::validate(&**state)
+        });
+        Ok(())
+    }
 }
 
 /// Fits TDPM models by variational EM.
@@ -367,10 +202,10 @@ impl TdpmTrainer {
     /// run's diagnostics (`objective_trace` is the ELBO after each epoch).
     ///
     /// Build `ts` with [`TrainingSet::from_db`], [`TrainingSet::from_sharded`]
-    /// or [`TrainingSet::from_parts`]. `config.num_shards` is the only
-    /// fan-out setting: the result is bit-identical for every shard count,
-    /// and for a plain or a sharded store holding the same platform
-    /// (DESIGN §11).
+    /// or [`TrainingSet::from_parts`]. `config.num_shards` and
+    /// `config.num_threads` set the fit's fan-out; the result is
+    /// bit-identical for every value of both, and for a plain or a sharded
+    /// store holding the same platform (DESIGN §11).
     // crowd-lint: root(det)
     pub fn fit(&self, ts: &TrainingSet) -> Result<(TdpmModel, FitDiagnostics)> {
         self.config.validate()?;
@@ -380,70 +215,28 @@ impl TdpmTrainer {
         let k = self.config.num_categories;
 
         let mut params = self.initial_params(ts);
-        let mut state = VariationalState::init(ts, k, self.config.seed);
-        let by_worker = Arc::new(ts.scores_by_worker());
-
-        // The shard plan cuts both entity axes into block-aligned contiguous
-        // ranges; every phase below is driven off it, and the fixed-block
-        // sufficient-statistics scheme keeps the fit bit-identical to the
-        // serial unsharded path for every shard count (DESIGN §11).
-        let shards = self.config.num_shards.max(1);
-        let plan = ShardPlan::new(ts.num_workers(), ts.num_tasks(), shards);
-        let sharded = plan.num_shards() > 1;
-        let tasks_shared = ts.tasks_shared();
+        let mut state = Arc::new(VariationalState::init(ts, k, self.config.seed));
+        let driver = EmDriver::new(ts, &self.config, &self.obs);
 
         let mut trace = Vec::with_capacity(self.config.max_em_iters);
         let mut converged = false;
         let mut iterations = 0;
-        // One scratch for the whole EM run: the serial worker E-step resets
-        // it per worker instead of cloning fresh precision/RHS buffers.
-        let mut scratch = EStepScratch::new(k);
 
         let m = &self.obs.metrics;
         let epochs = m.counter("trainer", "epochs");
         let elbo_gauge = m.gauge("trainer", "elbo");
         let delta_gauge = m.gauge("trainer", "elbo_rel_delta");
-        let estep_task_secs = m.histogram("trainer", "estep_task_seconds");
-        let validations = m.counter("validate", "checks");
-        let estep_worker_secs = m.histogram("trainer", "estep_worker_seconds");
         let mstep_secs = m.histogram("trainer", "mstep_seconds");
         let rss_gauge = m.gauge("trainer", "peak_rss_bytes");
+        let validations = m.counter("validate", "checks");
 
         for _ in 0..self.config.max_em_iters {
             iterations += 1;
             let ctx = Arc::new(EStepContext::new(&params)?);
 
-            // E-step (a): task posteriors, Eqs. 12–15. Tasks go first: on the
-            // first iteration the prior-scale random worker means act as the
-            // symmetry breaker that pulls each task's category toward the
-            // workers who scored well on it.
-            let t0 = std::time::Instant::now();
-            update_all_tasks(ts, &mut state, &ctx, &self.config, &plan)?;
-            estep_task_secs.observe_duration(t0.elapsed());
-            crate::validate::run(&validations, "E-step (task posteriors)", || {
-                Validate::validate(&state)
-            });
+            driver.e_step(&mut state, &ctx)?;
 
-            // E-step (b): worker posteriors, Eqs. 10–11.
-            let t1 = std::time::Instant::now();
-            if sharded || self.config.num_threads > 1 {
-                update_workers_pooled(&mut state, &ctx, &by_worker, &self.config, &plan)?;
-            } else {
-                update_workers(&mut state, ts, &ctx, &by_worker, &mut scratch)?;
-            }
-            estep_worker_secs.observe_duration(t1.elapsed());
-            crate::validate::run(&validations, "E-step (worker posteriors)", || {
-                Validate::validate(&state)
-            });
-
-            // One shared read-only snapshot serves the sharded ELBO gather
-            // and both M-step rounds this epoch.
-            let snapshot = sharded.then(|| Arc::new(state.clone()));
-
-            let bound = match &snapshot {
-                Some(snap) => elbo_sharded(snap, &tasks_shared, &ctx, &plan).total(),
-                None => elbo(&state, ts, &ctx).total(),
-            };
+            let bound = elbo(&state, ts, &ctx, &driver.plan).total();
             let improved = trace
                 .last()
                 .map(|&prev: &f64| {
@@ -455,19 +248,15 @@ impl TdpmTrainer {
 
             // M-step: Eqs. 16–21 (τ held during warm-up).
             let update_tau = iterations > self.config.tau_warmup_iters;
-            let t2 = std::time::Instant::now();
-            match &snapshot {
-                Some(snap) => update_params_sharded(
-                    &mut params,
-                    snap,
-                    &tasks_shared,
-                    ts.vocab_size(),
-                    &plan,
-                    &self.config,
-                    update_tau,
-                )?,
-                None => update_params(&mut params, &state, ts, &self.config, update_tau)?,
-            }
+            let t2 = Instant::now();
+            update_params(
+                &mut params,
+                &state,
+                ts,
+                &driver.plan,
+                &self.config,
+                update_tau,
+            )?;
             mstep_secs.observe_duration(t2.elapsed());
             crate::validate::run(&validations, "M-step (model parameters)", || {
                 Validate::validate(&params)
@@ -503,22 +292,22 @@ impl TdpmTrainer {
         // Assemble the model: worker skills + their sufficient statistics so
         // incremental updates can continue from where training left off.
         let mut skills = Vec::with_capacity(ts.num_workers());
-        for (i, worker_scores) in by_worker.iter().enumerate() {
+        for (i, worker_scores) in driver.by_worker.iter().enumerate() {
             let mut sum_cc = Matrix::zeros(k, k);
             let mut sum_sc = Vector::zeros(k);
             let mut sum_diag = Vector::zeros(k);
             for &(j, s) in worker_scores {
-                sum_cc.add_outer(1.0, &state.lambda_c[j])?;
-                sum_cc.add_diag(&state.nu2_c[j])?;
-                sum_sc.axpy(s, &state.lambda_c[j])?;
+                let (lc, nc2) = (&state.lambda_c[j], &state.nu2_c[j]);
+                sum_cc.add_outer(1.0, lc)?;
+                sum_cc.add_diag(nc2)?;
+                axpy(sum_sc.as_mut_slice(), s, lc);
                 for kk in 0..k {
-                    sum_diag[kk] +=
-                        state.lambda_c[j][kk] * state.lambda_c[j][kk] + state.nu2_c[j][kk];
+                    sum_diag[kk] += lc[kk] * lc[kk] + nc2[kk];
                 }
             }
             skills.push(TdpmModel::skill_from_training(
-                state.lambda_w[i].clone(),
-                state.nu2_w[i].clone(),
+                Vector::from_vec(state.lambda_w[i].to_vec()),
+                Vector::from_vec(state.nu2_w[i].to_vec()),
                 sum_cc,
                 sum_sc,
                 sum_diag,
@@ -526,12 +315,6 @@ impl TdpmTrainer {
             ));
         }
 
-        let mut model = TdpmModel::assemble(
-            params,
-            self.config.clone(),
-            skills,
-            ts.worker_ids().to_vec(),
-        )?;
         // Retain the fitted (feedback-informed) task posteriors so resolved
         // tasks can be ranked without a word-only re-projection.
         let trained = ts
@@ -542,13 +325,22 @@ impl TdpmTrainer {
                 (
                     t.task,
                     crate::model::TaskProjection {
-                        lambda: state.lambda_c[j].clone(),
-                        nu2: state.nu2_c[j].clone(),
+                        lambda: Vector::from_vec(state.lambda_c[j].to_vec()),
+                        nu2: Vector::from_vec(state.nu2_c[j].to_vec()),
                         num_tokens: t.num_tokens,
                     },
                 )
             })
             .collect();
+        // Everything the model needs is copied out of the EM state and the
+        // worker index: free them before the serving matrix is built.
+        drop((driver, state));
+        let mut model = TdpmModel::assemble(
+            params,
+            self.config.clone(),
+            skills,
+            ts.worker_ids().to_vec(),
+        )?;
         model.set_trained_tasks(trained);
         model.set_obs(self.obs.clone());
         crate::validate::run(&validations, "model assembly", || {

@@ -55,15 +55,28 @@ impl Validate for VariationalState {
     /// (entries ≥ 0, sum 1 ± 1e-9).
     fn validate(&self) -> Result<(), String> {
         let k = self.num_categories();
-        for (name, vecs) in [("lambda_w", &self.lambda_w), ("lambda_c", &self.lambda_c)] {
-            for (i, v) in vecs.iter().enumerate() {
-                v.validate().map_err(|e| format!("{name}[{i}]: {e}"))?;
+        for (name, slab) in [("lambda_w", &self.lambda_w), ("lambda_c", &self.lambda_c)] {
+            for (i, row) in slab.rows().enumerate() {
+                if let Some(c) = row.iter().position(|x| !x.is_finite()) {
+                    return Err(format!(
+                        "{name}[{i}]: entry[{c}] = {} is not finite",
+                        row[c]
+                    ));
+                }
             }
         }
-        for (name, vecs) in [("nu2_w", &self.nu2_w), ("nu2_c", &self.nu2_c)] {
-            for (i, v) in vecs.iter().enumerate() {
-                check_min_entries(v, f64::MIN_POSITIVE)
-                    .map_err(|e| format!("{name}[{i}] must be positive: {e}"))?;
+        for (name, slab) in [("nu2_w", &self.nu2_w), ("nu2_c", &self.nu2_c)] {
+            for (i, row) in slab.rows().enumerate() {
+                if let Some(c) = row
+                    .iter()
+                    .position(|&x| !(x.is_finite() && x >= f64::MIN_POSITIVE))
+                {
+                    return Err(format!(
+                        "{name}[{i}] must be positive: entry[{c}] = {} is not finite or \
+                         below f64::MIN_POSITIVE",
+                        row[c]
+                    ));
+                }
             }
         }
         for (j, &e) in self.epsilon.iter().enumerate() {

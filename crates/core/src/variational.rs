@@ -1,9 +1,119 @@
 //! Variational parameters `ϕ' = {λ_w, ν_w², λ_c, ν_c², φ, ε}` (Section 5.1).
 
 use crate::dataset::TrainingSet;
-use crowd_math::Vector;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::ops::{Index, IndexMut, Range};
+
+/// A row-major `rows × K` block of posterior parameters: one K-wide row per
+/// worker or task, every row in one allocation.
+///
+/// Indexing by row gives the row as a slice (`slab[i][k]`). The rows of a
+/// contiguous range are one contiguous segment, which is what lets a pool
+/// job take a chunk of them with a single move or copy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slab {
+    data: Vec<f64>,
+    width: usize,
+}
+
+impl Slab {
+    /// `rows` rows of `width` copies of `value`.
+    pub fn filled(rows: usize, width: usize, value: f64) -> Self {
+        Slab {
+            data: vec![value; rows * width],
+            width,
+        }
+    }
+
+    /// Wraps `data`, rows of `width` entries laid out back to back.
+    pub fn from_vec(width: usize, data: Vec<f64>) -> Self {
+        debug_assert!(
+            data.is_empty() || (width > 0 && data.len().is_multiple_of(width)),
+            "{} entries do not make rows of {width}",
+            data.len()
+        );
+        Slab { data, width }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.data.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    /// `true` when the slab has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Entries per row (`K`).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Every entry, row after row.
+    pub fn values(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// The rows, in order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.data.chunks_exact(self.width.max(1))
+    }
+
+    /// Rows `rows` as an owned slab for a pool job: the buffer itself,
+    /// moved out, when the range is every row (so a one-chunk phase copies
+    /// nothing), else a copy of the range.
+    pub(crate) fn take_rows(&mut self, rows: Range<usize>) -> Slab {
+        let whole = rows.len() == self.len();
+        let span = rows.start * self.width..rows.end * self.width;
+        Slab {
+            data: take_span(&mut self.data, span, whole),
+            width: self.width,
+        }
+    }
+
+    /// Writes a chunk from [`Slab::take_rows`] back, starting at row `start`.
+    pub(crate) fn put_rows(&mut self, start: usize, chunk: Slab) {
+        put_span(&mut self.data, start * self.width, chunk.data);
+    }
+}
+
+impl Index<usize> for Slab {
+    type Output = [f64];
+
+    fn index(&self, row: usize) -> &[f64] {
+        &self.data[row * self.width..(row + 1) * self.width]
+    }
+}
+
+impl IndexMut<usize> for Slab {
+    fn index_mut(&mut self, row: usize) -> &mut [f64] {
+        &mut self.data[row * self.width..(row + 1) * self.width]
+    }
+}
+
+/// `buf[span]` as an owned buffer: `buf` itself, moved out, when `whole`
+/// (`span` is all of it), else a copy.
+fn take_span(buf: &mut Vec<f64>, span: Range<usize>, whole: bool) -> Vec<f64> {
+    if whole {
+        debug_assert_eq!(span, 0..buf.len(), "a whole take spans the buffer");
+        std::mem::take(buf)
+    } else {
+        buf[span].to_vec()
+    }
+}
+
+/// Writes a buffer from [`take_span`] back at `start`: a moved-out buffer
+/// moves back in, a copy is copied into place. `buf` is empty only when
+/// `take_span` moved it out or it never held anything.
+fn put_span(buf: &mut Vec<f64>, start: usize, chunk: Vec<f64>) {
+    if buf.is_empty() {
+        *buf = chunk;
+    } else {
+        buf[start..start + chunk.len()].copy_from_slice(&chunk);
+    }
+}
 
 /// Word responsibilities `φ` for every task, stored in one contiguous
 /// row-major buffer.
@@ -13,8 +123,9 @@ use rand::{RngExt, SeedableRng};
 /// task. Storing the rows back-to-back in a single allocation (with an
 /// offsets table, CSR-style) keeps the per-iteration E-step sweep walking a
 /// single cache-friendly buffer instead of chasing `Vec<Vec<f64>>` pointers,
-/// and lets the parallel trainer split the state into contiguous per-thread
-/// blocks with no copying.
+/// and makes a chunk of consecutive tasks' rows one contiguous segment: the
+/// task E-step hands a chunk to its pool job with one move (a one-chunk
+/// phase) or one copy out and back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhiMatrix {
     data: Vec<f64>,
@@ -57,86 +168,36 @@ impl PhiMatrix {
         &self.data
     }
 
-    /// A mutable view over all rows that can be recursively split into
-    /// contiguous row blocks (the parallel E-step's partitioning primitive).
-    pub fn rows_mut(&mut self) -> PhiRowsMut<'_> {
-        PhiRowsMut {
-            data: &mut self.data,
-            offsets: &self.offsets,
-        }
+    /// Rows `rows` back to back, for a pool job (see [`Slab::take_rows`]).
+    pub(crate) fn take_rows(&mut self, rows: Range<usize>) -> Vec<f64> {
+        let whole = rows.len() == self.num_rows();
+        let span = self.offsets[rows.start]..self.offsets[rows.end];
+        take_span(&mut self.data, span, whole)
+    }
+
+    /// Writes rows from [`PhiMatrix::take_rows`] back, starting at row `start`.
+    pub(crate) fn put_rows(&mut self, start: usize, chunk: Vec<f64>) {
+        put_span(&mut self.data, self.offsets[start], chunk);
     }
 }
 
-/// Uniform mutable row access over a block of responsibilities.
-///
-/// The task E-step is written once against this trait and runs over either
-/// a borrowed [`PhiRowsMut`] view (the inline path) or owned per-chunk row
-/// copies (`Vec<Vec<f64>>`, the pooled path — `'static` jobs can't borrow
-/// the matrix, so they round-trip owned copies and the trainer writes them
-/// back). Same updates, same order, so the two paths stay bit-identical.
-pub trait PhiRowAccess {
-    /// Mutable access to local row `j` (relative to the block start).
-    fn row_mut(&mut self, j: usize) -> &mut [f64];
-}
-
-impl PhiRowAccess for PhiRowsMut<'_> {
-    fn row_mut(&mut self, j: usize) -> &mut [f64] {
-        PhiRowsMut::row_mut(self, j)
-    }
-}
-
-impl PhiRowAccess for Vec<Vec<f64>> {
-    fn row_mut(&mut self, j: usize) -> &mut [f64] {
-        &mut self[j]
-    }
-}
-
-/// A borrowed block of consecutive [`PhiMatrix`] rows.
-///
-/// Behaves like `&mut [row]`: [`PhiRowsMut::split_at_mut`] cuts the block in
-/// two at a row boundary, so scoped threads can each own a disjoint
-/// contiguous block of the underlying buffer.
+/// One chunk of task posteriors (`λ_c`, `ν_c²`, `φ`, `ε` of a task range),
+/// owned by the pool job that updates them.
 #[derive(Debug)]
-pub struct PhiRowsMut<'a> {
-    data: &'a mut [f64],
-    /// Absolute offsets of the covered rows (`len = rows + 1`); `offsets[0]`
-    /// is the base of `data` within the full matrix.
-    offsets: &'a [usize],
+pub(crate) struct TaskRows {
+    pub(crate) lambda: Slab,
+    pub(crate) nu2: Slab,
+    /// The chunk's `φ` rows, back to back.
+    pub(crate) phi: Vec<f64>,
+    pub(crate) epsilon: Vec<f64>,
 }
 
-impl<'a> PhiRowsMut<'a> {
-    /// Rows in this block.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// `true` when the block covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Mutable access to local row `j` (relative to the block start).
-    pub fn row_mut(&mut self, j: usize) -> &mut [f64] {
-        let base = self.offsets[0];
-        &mut self.data[self.offsets[j] - base..self.offsets[j + 1] - base]
-    }
-
-    /// Splits the block into rows `[0, mid)` and `[mid, len)`.
-    pub fn split_at_mut(self, mid: usize) -> (PhiRowsMut<'a>, PhiRowsMut<'a>) {
-        let base = self.offsets[0];
-        let cut = self.offsets[mid] - base;
-        let (left, right) = self.data.split_at_mut(cut);
-        (
-            PhiRowsMut {
-                data: left,
-                offsets: &self.offsets[..=mid],
-            },
-            PhiRowsMut {
-                data: right,
-                offsets: &self.offsets[mid..],
-            },
-        )
-    }
+/// One chunk of worker posteriors (`λ_w`, `ν_w²` of a worker range), owned
+/// by the pool job that updates them.
+#[derive(Debug)]
+pub(crate) struct WorkerRows {
+    pub(crate) lambda: Slab,
+    pub(crate) nu2: Slab,
 }
 
 /// Mean-field variational state over workers, tasks and word assignments.
@@ -150,13 +211,13 @@ impl<'a> PhiRowsMut<'a> {
 #[derive(Debug, Clone)]
 pub struct VariationalState {
     /// Worker skill means, `M × K`.
-    pub lambda_w: Vec<Vector>,
+    pub lambda_w: Slab,
     /// Worker skill variances (diagonal), `M × K`.
-    pub nu2_w: Vec<Vector>,
+    pub nu2_w: Slab,
     /// Task category means, `N × K`.
-    pub lambda_c: Vec<Vector>,
+    pub lambda_c: Slab,
     /// Task category variances (diagonal), `N × K`.
-    pub nu2_c: Vec<Vector>,
+    pub nu2_c: Slab,
     /// Word responsibilities, one contiguous row per task.
     pub phi: PhiMatrix,
     /// Taylor parameters, one per task.
@@ -171,25 +232,24 @@ impl VariationalState {
     /// receive identical updates and the model could never specialize).
     pub fn init(ts: &TrainingSet, k: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut noise_vec = |scale: f64| -> Vector {
-            Vector::from_fn(k, |_| {
-                // Box–Muller-free: sum of uniforms is plenty for tie-breaking.
-                let u: f64 = rng.random_range(-1.0..1.0);
-                u * scale
-            })
+        let mut noise = |rows: usize, scale: f64| -> Slab {
+            let data = (0..rows * k)
+                .map(|_| {
+                    // Box–Muller-free: sum of uniforms is plenty for tie-breaking.
+                    let u: f64 = rng.random_range(-1.0..1.0);
+                    u * scale
+                })
+                .collect();
+            Slab::from_vec(k, data)
         };
 
         // Worker means start at prior scale (w ~ Normal(0, I)); near-zero
         // starts sit in a collapsed fixed point where τ² absorbs all score
         // variance and skills never separate.
-        let lambda_w = (0..ts.num_workers()).map(|_| noise_vec(1.0)).collect();
-        let nu2_w = (0..ts.num_workers())
-            .map(|_| Vector::filled(k, 1.0))
-            .collect();
-        let lambda_c = (0..ts.num_tasks()).map(|_| noise_vec(0.1)).collect();
-        let nu2_c = (0..ts.num_tasks())
-            .map(|_| Vector::filled(k, 1.0))
-            .collect();
+        let lambda_w = noise(ts.num_workers(), 1.0);
+        let nu2_w = Slab::filled(ts.num_workers(), k, 1.0);
+        let lambda_c = noise(ts.num_tasks(), 0.1);
+        let nu2_c = Slab::filled(ts.num_tasks(), k, 1.0);
 
         let phi = PhiMatrix::filled(ts.tasks().iter().map(|t| t.words.len() * k), 1.0 / k as f64);
         let epsilon = vec![k as f64; ts.num_tasks()]; // Σ exp(0 + 1/2) ≈ k·e^½; any positive start works
@@ -206,22 +266,52 @@ impl VariationalState {
 
     /// Number of latent categories.
     pub fn num_categories(&self) -> usize {
-        self.lambda_w.first().map_or(0, Vector::len)
+        self.lambda_w.width()
     }
 
     /// `true` when every stored quantity is finite and variances positive.
     pub fn is_sane(&self) -> bool {
-        let finite_vecs = |vs: &[Vector]| vs.iter().all(Vector::is_finite);
-        let positive = |vs: &[Vector]| {
-            vs.iter()
-                .all(|v| v.as_slice().iter().all(|&x| x > 0.0 && x.is_finite()))
-        };
-        finite_vecs(&self.lambda_w)
-            && finite_vecs(&self.lambda_c)
+        let finite = |s: &Slab| s.values().iter().all(|x| x.is_finite());
+        let positive = |s: &Slab| s.values().iter().all(|&x| x > 0.0 && x.is_finite());
+        finite(&self.lambda_w)
+            && finite(&self.lambda_c)
             && positive(&self.nu2_w)
             && positive(&self.nu2_c)
             && self.epsilon.iter().all(|&e| e > 0.0 && e.is_finite())
             && self.phi.values().iter().all(|&x| x.is_finite() && x >= 0.0)
+    }
+
+    /// Task rows `tasks` for a pool job (see [`Slab::take_rows`]).
+    pub(crate) fn take_tasks(&mut self, tasks: Range<usize>) -> TaskRows {
+        let whole = tasks.len() == self.epsilon.len();
+        TaskRows {
+            lambda: self.lambda_c.take_rows(tasks.clone()),
+            nu2: self.nu2_c.take_rows(tasks.clone()),
+            phi: self.phi.take_rows(tasks.clone()),
+            epsilon: take_span(&mut self.epsilon, tasks, whole),
+        }
+    }
+
+    /// Writes task rows from [`VariationalState::take_tasks`] back.
+    pub(crate) fn put_tasks(&mut self, start: usize, rows: TaskRows) {
+        self.lambda_c.put_rows(start, rows.lambda);
+        self.nu2_c.put_rows(start, rows.nu2);
+        self.phi.put_rows(start, rows.phi);
+        put_span(&mut self.epsilon, start, rows.epsilon);
+    }
+
+    /// Worker rows `workers` for a pool job (see [`Slab::take_rows`]).
+    pub(crate) fn take_workers(&mut self, workers: Range<usize>) -> WorkerRows {
+        WorkerRows {
+            lambda: self.lambda_w.take_rows(workers.clone()),
+            nu2: self.nu2_w.take_rows(workers),
+        }
+    }
+
+    /// Writes worker rows from [`VariationalState::take_workers`] back.
+    pub(crate) fn put_workers(&mut self, start: usize, rows: WorkerRows) {
+        self.lambda_w.put_rows(start, rows.lambda);
+        self.nu2_w.put_rows(start, rows.nu2);
     }
 }
 
@@ -268,10 +358,10 @@ mod tests {
         let a = VariationalState::init(&ts, 3, 9);
         let b = VariationalState::init(&ts, 3, 9);
         assert!(a.is_sane());
-        assert_eq!(a.lambda_w[0].as_slice(), b.lambda_w[0].as_slice());
+        assert_eq!(a.lambda_w[0], b.lambda_w[0]);
         // Different seeds give different noise.
         let c = VariationalState::init(&ts, 3, 10);
-        assert_ne!(a.lambda_w[0].as_slice(), c.lambda_w[0].as_slice());
+        assert_ne!(a.lambda_w[0], c.lambda_w[0]);
     }
 
     #[test]
@@ -281,35 +371,6 @@ mod tests {
         for x in s.phi.row(0) {
             assert!((x - 0.25).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn phi_blocks_partition_the_buffer() {
-        let mut phi = PhiMatrix::filled([4usize, 2, 6, 2], 0.0);
-        // Stamp each row with its index through the block API…
-        let rows = phi.rows_mut();
-        let (mut left, rest) = rows.split_at_mut(1);
-        let (mut mid, mut right) = rest.split_at_mut(2);
-        assert_eq!((left.len(), mid.len(), right.len()), (1, 2, 1));
-        left.row_mut(0).fill(0.0);
-        mid.row_mut(0).fill(1.0);
-        mid.row_mut(1).fill(2.0);
-        right.row_mut(0).fill(3.0);
-        // …and read it back through the whole-matrix API.
-        for (j, want) in [0.0, 1.0, 2.0, 3.0].into_iter().enumerate() {
-            assert!(phi.row(j).iter().all(|&x| x == want), "row {j}");
-        }
-        assert_eq!(phi.values().len(), 14);
-    }
-
-    #[test]
-    fn empty_phi_split_is_fine() {
-        let mut phi = PhiMatrix::filled(std::iter::empty(), 0.5);
-        assert_eq!(phi.num_rows(), 0);
-        let rows = phi.rows_mut();
-        assert!(rows.is_empty());
-        let (a, b) = rows.split_at_mut(0);
-        assert!(a.is_empty() && b.is_empty());
     }
 
     #[test]

@@ -278,7 +278,7 @@ mod tests {
     fn jitter_recovers_near_singular() {
         // Rank-deficient (outer product) — singular without jitter.
         let mut a = Matrix::zeros(2, 2);
-        a.add_outer(1.0, &Vector::from_vec(vec![1.0, 1.0])).unwrap();
+        a.add_outer(1.0, &[1.0, 1.0]).unwrap();
         assert!(Cholesky::factor(&a).is_err());
         let c = Cholesky::factor_with_jitter(&a, 1e-8, 40).unwrap();
         assert!(c.log_det().is_finite());
@@ -292,7 +292,7 @@ mod tests {
         updated.rank_one_update(&x).unwrap();
 
         let mut a_plus = a.clone();
-        a_plus.add_outer(1.0, &x).unwrap();
+        a_plus.add_outer(1.0, x.as_slice()).unwrap();
         let fresh = Cholesky::factor(&a_plus).unwrap();
 
         // Same solves (factors are unique up to sign; compare behaviour).
@@ -318,7 +318,7 @@ mod tests {
         for step in 0..20 {
             let x = Vector::from_fn(3, |i| ((step * 3 + i) as f64 * 0.7).sin());
             incremental.rank_one_update(&x).unwrap();
-            accumulated.add_outer(1.0, &x).unwrap();
+            accumulated.add_outer(1.0, x.as_slice()).unwrap();
         }
         let fresh = Cholesky::factor(&accumulated).unwrap();
         let b = Vector::from_vec(vec![0.3, 0.3, 0.3]);
@@ -337,7 +337,7 @@ mod tests {
         updated.diag_update(&d).unwrap();
 
         let mut a_plus = a.clone();
-        a_plus.add_diag(&d).unwrap();
+        a_plus.add_diag(d.as_slice()).unwrap();
         let fresh = Cholesky::factor(&a_plus).unwrap();
         assert!((updated.log_det() - fresh.log_det()).abs() < 1e-9);
         // Negative increments rejected.

@@ -191,7 +191,7 @@ impl Matrix {
     }
 
     /// Adds `alpha * x xᵀ` to `self` (symmetric rank-1 update).
-    pub fn add_outer(&mut self, alpha: f64, x: &Vector) -> Result<()> {
+    pub fn add_outer(&mut self, alpha: f64, x: &[f64]) -> Result<()> {
         if !self.is_square() || self.rows != x.len() {
             return Err(MathError::DimensionMismatch {
                 op: "Matrix::add_outer",
@@ -210,7 +210,7 @@ impl Matrix {
     }
 
     /// Adds `v[i]` to each diagonal entry `self[(i, i)]`.
-    pub fn add_diag(&mut self, v: &Vector) -> Result<()> {
+    pub fn add_diag(&mut self, v: &[f64]) -> Result<()> {
         if !self.is_square() || self.rows != v.len() {
             return Err(MathError::DimensionMismatch {
                 op: "Matrix::add_diag",
@@ -344,7 +344,7 @@ mod tests {
     fn add_outer_rank_one() {
         let mut m = Matrix::zeros(2, 2);
         let x = Vector::from_vec(vec![1.0, 2.0]);
-        m.add_outer(2.0, &x).unwrap();
+        m.add_outer(2.0, x.as_slice()).unwrap();
         assert_eq!(m.row(0), &[2.0, 4.0]);
         assert_eq!(m.row(1), &[4.0, 8.0]);
     }

@@ -35,7 +35,7 @@ pub fn covariance_about(samples: &[Vector], mu: &Vector) -> Result<Matrix> {
     let mut cov = Matrix::zeros(k, k);
     for s in samples {
         let d = s.sub(mu)?;
-        cov.add_outer(1.0, &d)?;
+        cov.add_outer(1.0, d.as_slice())?;
     }
     cov.scale(1.0 / samples.len() as f64);
     cov.symmetrize();
