@@ -86,12 +86,19 @@ if [ "$(git status --porcelain)" != "$tree_before" ]; then
     exit 1
 fi
 
-# End-to-end benchmark output check: a short select_wide run (100k-worker
-# roster) exits 1 if any SELECT differs bit for bit from the
-# `project_bow` + `select_top_k_serial` oracle. Writes only to the
-# git-ignored perfbench/out/ (see perfbench/README.md).
+# End-to-end benchmark output checks. Writes only to the git-ignored
+# perfbench/out/ (see perfbench/README.md).
+# - select_wide (100k-worker roster) exits 1 if any SELECT differs bit for
+#   bit from the `project_bow` + `select_top_k_serial` oracle. Its selects
+#   hit the projection cache.
+# - mixed_cold serves never-seen texts, so every select runs the Algorithm 3
+#   projection. The traced run also checks the served fit's ELBO trace and
+#   projections bit for bit against a replica fit of the WAL-recovered
+#   store, and one select in 16 against the serial oracle.
 run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload select_wide --seed 1 --seconds 2 --trace 0
+run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload mixed_cold --seed 1 --seconds 2 --trace 1
 
 # Bench smoke: the dense serving path must beat the serial baseline by the
 # speedup gate, and thread scaling over the persistent scoring pool must

@@ -2,7 +2,8 @@
 //! (tasks `N`, workers `M`, latent categories `K`).
 //!
 //! Motivated by DESIGN.md: the worker E-step is `O(M·K³ + |A|·K²)` and the
-//! task E-step `O(N·(K² + CG))` — this bench checks the scaling empirically.
+//! task E-step `O(N·(K³ + L·K))` (a K×K Cholesky per Newton step, `L`
+//! tokens per task) — this bench checks the scaling empirically.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd_core::{TdpmConfig, TdpmTrainer, TrainingSet};

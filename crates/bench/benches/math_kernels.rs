@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the math kernels the inference hot path relies on:
-//! Cholesky factor+solve (worker update, Eq. 10), conjugate gradient (task
-//! update, Eq. 14) and softmax (logistic link, Eq. 4).
+//! Cholesky factor+solve (worker update, Eq. 10) and softmax (logistic
+//! link, Eq. 4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowd_math::optimize::{minimize_cg, CgOptions};
 use crowd_math::special::softmax;
 use crowd_math::{Cholesky, Matrix, Vector};
 use std::hint::black_box;
@@ -30,26 +29,6 @@ fn math_kernels(c: &mut Criterion) {
                 let chol = Cholesky::factor(&a).unwrap();
                 black_box(chol.solve(&b).unwrap())
             })
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("conjugate_gradient_quadratic");
-    for n in [10usize, 50] {
-        let scales: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, &n| {
-            let f = |x: &Vector, g: &mut Vector| {
-                let mut v = 0.0;
-                for i in 0..n {
-                    let d = x[i] - 1.0;
-                    v += 0.5 * scales[i] * d * d;
-                    g[i] = scales[i] * d;
-                }
-                v
-            };
-            let x0 = Vector::zeros(n);
-            let opts = CgOptions::default();
-            bench.iter(|| black_box(minimize_cg(&f, &x0, &opts).value))
         });
     }
     group.finish();

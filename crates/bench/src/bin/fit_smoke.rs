@@ -74,7 +74,6 @@ fn fit_config(num_shards: usize) -> TdpmConfig {
         num_categories: K,
         max_em_iters: 2,
         task_inner_iters: 1,
-        cg_max_iters: 8,
         seed: 11,
         num_threads: 1,
         num_shards,

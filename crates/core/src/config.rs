@@ -1,6 +1,5 @@
 //! Training configuration.
 
-use crowd_math::optimize::CgOptions;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters and stopping criteria for [`crate::TdpmTrainer`].
@@ -14,8 +13,6 @@ pub struct TdpmConfig {
     pub elbo_rel_tol: f64,
     /// Inner coordinate-ascent rounds per task per E-step.
     pub task_inner_iters: usize,
-    /// Maximum CG iterations for each task-mean update.
-    pub cg_max_iters: usize,
     /// Assume independent skills / categories: keep `Σ_w` and `Σ_c`
     /// diagonal (the paper's "special case" in Section 4.3.1).
     pub diagonal_covariance: bool,
@@ -88,7 +85,6 @@ impl Default for TdpmConfig {
             max_em_iters: 30,
             elbo_rel_tol: 1e-5,
             task_inner_iters: 3,
-            cg_max_iters: 40,
             diagonal_covariance: false,
             beta_smoothing: 1e-2,
             min_tau2: 1e-4,
@@ -131,16 +127,6 @@ impl TdpmConfig {
             ));
         }
         Ok(())
-    }
-
-    /// CG options for the task-mean updates, derived from this config.
-    pub fn cg_options(&self) -> CgOptions {
-        CgOptions {
-            max_iters: self.cg_max_iters,
-            grad_tol: 1e-5,
-            f_tol: 1e-9,
-            ..CgOptions::default()
-        }
     }
 }
 

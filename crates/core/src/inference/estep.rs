@@ -6,7 +6,7 @@ use crate::dataset::{ScoresByWorker, TaskData};
 use crate::variational::{Slab, TaskRows, VariationalState, WorkerRows};
 use crate::{CoreError, Result};
 use crowd_math::kernels;
-use crowd_math::optimize::{minimize_cg, solve_decreasing};
+use crowd_math::optimize::solve_decreasing;
 use crowd_math::{Cholesky, Matrix, Vector};
 
 /// Updates the worker posteriors `q(w^i)` (Eqs. 10–11) of one chunk: the
@@ -166,8 +166,8 @@ pub struct TaskPosterior<'a> {
 /// Runs `inner_iters` rounds of coordinate ascent on one task posterior.
 ///
 /// Order per round (following the CTM schedule): `ε` (Eq. 13), `φ` (Eq. 12),
-/// `λ_c` by conjugate gradient (Eq. 14 / 22), `ν_c²` by monotone root solve
-/// (Eq. 15 / 23).
+/// `λ_c` by damped Newton ([`solve_task_mean`], Eq. 14 / 22), `ν_c²` by a
+/// bracket-safeguarded Newton root solve (Eq. 15 / 23).
 #[allow(clippy::needless_range_loop)] // indexes mirror the equations' subscripts
 pub fn update_task(
     update: &TaskUpdate<'_>,
@@ -211,7 +211,7 @@ pub fn update_task(
             }
         }
 
-        // --- λ_c update (Eq. 14 / 22) by CG ---------------------------------
+        // --- λ_c update (Eq. 14 / 22) by damped Newton ------------------------
         let objective = TaskMeanObjective {
             ctx,
             phi_sum: &phi_sum,
@@ -221,14 +221,11 @@ pub fn update_task(
             feedback: update.feedback,
             inv_tau2,
         };
-        let start = Vector::from_vec(post.lambda.to_vec());
-        let result = minimize_cg(&objective, &start, &cfg.cg_options());
-        if result.x.is_finite() {
-            post.lambda.copy_from_slice(result.x.as_slice());
-        }
+        solve_task_mean(&objective, post.lambda)?;
 
         // --- ν_c² update (Eq. 15 / 23) ---------------------------------------
-        // Root of 1/(2x) − ½ (Σ_c⁻¹)_kk − τ⁻²/2 A_kk − (L/2ε) e^{λ_k + x/2}.
+        // Root of 1/(2x) − ½ (Σ_c⁻¹)_kk − τ⁻²/2 A_kk − (L/2ε) e^{λ_k + x/2},
+        // whose derivative is −1/(2x²) − (L/4ε) e^{λ_k + x/2}.
         for kk in 0..k {
             let q = 0.5 * ctx.sigma_c_inv[(kk, kk)] + 0.5 * inv_tau2 * update.feedback.a[(kk, kk)];
             let lam = post.lambda[kk];
@@ -237,7 +234,13 @@ pub fn update_task(
             } else {
                 0.0
             };
-            let g = |x: f64| 1.0 / (2.0 * x) - q - word_scale * (lam + x / 2.0).exp();
+            let g = |x: f64| {
+                let word = word_scale * (lam + x / 2.0).exp();
+                (
+                    1.0 / (2.0 * x) - q - word,
+                    -1.0 / (2.0 * x * x) - 0.5 * word,
+                )
+            };
             let x0 = post.nu2[kk].clamp(1e-8, 1e8);
             match solve_decreasing(g, x0, 1e-10) {
                 Ok(root) => post.nu2[kk] = root.clamp(1e-12, 1e12),
@@ -252,6 +255,92 @@ pub fn update_task(
     Ok(())
 }
 
+/// Cap on Newton steps per [`solve_task_mean`] call. Newton converges
+/// quadratically near the minimum, so solves reach [`NEWTON_GRAD_TOL`] well
+/// before the cap; it bounds degenerate inputs.
+const NEWTON_MAX_STEPS: usize = 50;
+/// [`solve_task_mean`] stops once `|∇f|∞` falls below this.
+const NEWTON_GRAD_TOL: f64 = 1e-10;
+/// Armijo sufficient-decrease constant of the backtracking line search.
+const ARMIJO_C1: f64 = 1e-4;
+/// Step halvings before the line search gives up.
+const MAX_BACKTRACKS: usize = 40;
+
+/// `max_k |x_k|`.
+fn inf_norm(x: &Vector) -> f64 {
+    x.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()))
+}
+
+/// Minimizes the strictly convex `objective` over the task mean `λ_c`
+/// (Eq. 14 / 22) by damped Newton, starting from and writing back into
+/// `lambda`.
+///
+/// Each step solves `H d = ∇f` with the closed-form Hessian
+/// ([`TaskMeanObjective::hessian`]) and backtracks along `−d` until the
+/// Armijo condition holds; the solve stops once `|∇f|∞ <` 1e-10. Once the
+/// predicted decrease `∇fᵀ H⁻¹ ∇f` is at the rounding level of `f`, `f` can
+/// no longer rank iterates: the full step is then taken only if it lowers
+/// `|∇f|∞`, and the solve stops otherwise.
+///
+/// The line search rejects any trial point where `f` is not finite, so
+/// `lambda` only ever receives finite iterates; a start where `f` is not
+/// finite leaves it unchanged.
+///
+/// # Errors
+///
+/// [`CoreError::Numerical`] if the Hessian will not factor.
+pub fn solve_task_mean(objective: &TaskMeanObjective<'_>, lambda: &mut [f64]) -> Result<()> {
+    let k = lambda.len();
+    let mut x = Vector::from_vec(lambda.to_vec());
+    let mut grad = Vector::zeros(k);
+    let mut value = objective.value_and_grad(&x, &mut grad);
+    if !value.is_finite() {
+        return Ok(());
+    }
+    let mut trial = Vector::zeros(k);
+    let mut trial_grad = Vector::zeros(k);
+    for _ in 0..NEWTON_MAX_STEPS {
+        let grad_norm = inf_norm(&grad);
+        if grad_norm < NEWTON_GRAD_TOL {
+            break;
+        }
+        let step = Cholesky::factor_with_jitter(&objective.hessian(&x), 1e-10, 40)
+            .and_then(|chol| chol.solve(&grad))
+            .map_err(|e| CoreError::Numerical(format!("task-mean Hessian: {e}")))?;
+        let decrement = kernels::dot(grad.as_slice(), step.as_slice());
+        let at_rounding = decrement <= 16.0 * f64::EPSILON * value.abs().max(1.0);
+        let mut t = 1.0;
+        let mut accepted = false;
+        for _ in 0..MAX_BACKTRACKS {
+            for kk in 0..k {
+                trial[kk] = x[kk] - t * step[kk];
+            }
+            let trial_value = objective.value_and_grad(&trial, &mut trial_grad);
+            accepted = trial_value.is_finite()
+                && if at_rounding {
+                    inf_norm(&trial_grad) < grad_norm
+                } else {
+                    trial_value <= value - ARMIJO_C1 * t * decrement
+                };
+            if accepted {
+                value = trial_value;
+                break;
+            }
+            if at_rounding {
+                break;
+            }
+            t *= 0.5;
+        }
+        if !accepted {
+            break;
+        }
+        std::mem::swap(&mut x, &mut trial);
+        std::mem::swap(&mut grad, &mut trial_grad);
+    }
+    lambda.copy_from_slice(x.as_slice());
+    Ok(())
+}
+
 /// The negative ELBO as a function of one task's mean `λ_c` (Eq. 14 / 22):
 ///
 /// ```text
@@ -261,8 +350,9 @@ pub fn update_task(
 ///      + τ⁻²/2 (λᵀ A λ − 2 bᵀ λ)            feedback quadratic
 /// ```
 ///
-/// Exposed as a type (rather than a closure) so the test suite can check
-/// the analytic gradient against finite differences.
+/// Strictly convex: the Hessian is `Σ_c⁻¹` plus a positive diagonal plus the
+/// PSD `τ⁻² A`. Exposed as a type (rather than a closure) so the test suite
+/// can check the analytic gradient and Hessian against finite differences.
 #[derive(Debug)]
 pub struct TaskMeanObjective<'a> {
     /// Shared E-step context.
@@ -281,8 +371,27 @@ pub struct TaskMeanObjective<'a> {
     pub inv_tau2: f64,
 }
 
-impl crowd_math::optimize::Objective for TaskMeanObjective<'_> {
-    fn value_and_grad(&self, x: &Vector, grad: &mut Vector) -> f64 {
+impl TaskMeanObjective<'_> {
+    /// The Hessian `Σ_c⁻¹ + (L/ε)·diag(exp(x_k + ν²_k/2)) + τ⁻² A` at `x`.
+    pub fn hessian(&self, x: &Vector) -> Matrix {
+        let k = x.len();
+        let mut h = self.ctx.sigma_c_inv.clone();
+        if self.num_tokens > 0.0 {
+            let scale = self.num_tokens / self.epsilon;
+            for kk in 0..k {
+                h[(kk, kk)] += scale * (x[kk] + self.nu2[kk] / 2.0).exp();
+            }
+        }
+        if self.feedback.count > 0 {
+            for r in 0..k {
+                axpy(h.row_mut(r), self.inv_tau2, self.feedback.a.row(r));
+            }
+        }
+        h
+    }
+
+    /// Returns `f(x)` and writes `∇f(x)` into `grad` (both of length K).
+    pub fn value_and_grad(&self, x: &Vector, grad: &mut Vector) -> f64 {
         let k = x.len();
         // Prior term. Dims all equal `k` by construction, so the fallible
         // `Vector` ops are replaced by the order-identical `kernels` path
@@ -475,7 +584,6 @@ mod tests {
 
     #[test]
     fn task_objective_gradient_matches_finite_differences() {
-        use crowd_math::optimize::Objective;
         let params = ModelParams::neutral(3, 5);
         let ctx = EStepContext::new(&params).unwrap();
         let phi_sum = Vector::from_vec(vec![2.0, 1.0, 0.5]);
@@ -516,8 +624,52 @@ mod tests {
     }
 
     #[test]
+    fn task_objective_hessian_matches_finite_differences() {
+        // A wrong Hessian still converges under the line search, only
+        // slowly, so check each column against central differences of the
+        // analytic gradient.
+        let params = ModelParams::neutral(3, 5);
+        let ctx = EStepContext::new(&params).unwrap();
+        let phi_sum = Vector::from_vec(vec![2.0, 1.0, 0.5]);
+        let nu2 = Vector::from_vec(vec![0.8, 1.2, 0.5]);
+        let lambda_w = Slab::from_vec(3, vec![1.0, -0.5, 0.3, 0.2, 0.9, -1.1]);
+        let nu2_w = Slab::filled(2, 3, 0.4);
+        let feedback =
+            TaskFeedbackStats::gather(&[(0, 2.0), (1, -0.5)], &lambda_w, &nu2_w).unwrap();
+        let objective = TaskMeanObjective {
+            ctx: &ctx,
+            phi_sum: &phi_sum,
+            nu2: nu2.as_slice(),
+            epsilon: 3.5,
+            num_tokens: 3.5,
+            feedback: &feedback,
+            inv_tau2: 1.0 / ctx.tau2,
+        };
+
+        let x = Vector::from_vec(vec![0.3, -0.7, 0.1]);
+        let hessian = objective.hessian(&x);
+        let h = 1e-6;
+        for col in 0..3 {
+            let mut xp = x.clone();
+            xp[col] += h;
+            let mut xm = x.clone();
+            xm[col] -= h;
+            let (mut gp, mut gm) = (Vector::zeros(3), Vector::zeros(3));
+            objective.value_and_grad(&xp, &mut gp);
+            objective.value_and_grad(&xm, &mut gm);
+            for row in 0..3 {
+                let numeric = (gp[row] - gm[row]) / (2.0 * h);
+                assert!(
+                    (hessian[(row, col)] - numeric).abs() < 1e-5 * (1.0 + numeric.abs()),
+                    "H[{row},{col}]: analytic {} vs numeric {numeric}",
+                    hessian[(row, col)]
+                );
+            }
+        }
+    }
+
+    #[test]
     fn update_task_reaches_a_stationary_mean() {
-        use crowd_math::optimize::Objective;
         let (ts, params, cfg) = toy();
         let ctx = EStepContext::new(&params).unwrap();
         let mut state = VariationalState::init(&ts, 2, 5);
@@ -530,7 +682,6 @@ mod tests {
         };
         let cfg = TdpmConfig {
             task_inner_iters: 8,
-            cg_max_iters: 200,
             ..cfg
         };
         let mut post = TaskPosterior {
@@ -562,6 +713,32 @@ mod tests {
         objective.value_and_grad(&Vector::from_vec(post.lambda.to_vec()), &mut grad);
         let gnorm = grad.norm();
         assert!(gnorm < 1e-3, "stationarity violated: |∇f| = {gnorm}");
+    }
+
+    #[test]
+    fn task_mean_hessian_that_will_not_factor_is_a_typed_error() {
+        // A negative-definite prior precision (impossible from a fitted
+        // `Σ_c`, so built by hand) leaves no SPD Hessian for the jitter to
+        // repair: the solve must report it, not panic or return garbage.
+        let params = ModelParams::neutral(2, 3);
+        let mut ctx = EStepContext::new(&params).unwrap();
+        ctx.sigma_c_inv = Matrix::from_diag(&Vector::filled(2, -1e6));
+        let phi_sum = Vector::zeros(2);
+        let nu2 = [1.0, 1.0];
+        let empty = TaskFeedbackStats::empty(2);
+        let objective = TaskMeanObjective {
+            ctx: &ctx,
+            phi_sum: &phi_sum,
+            nu2: &nu2,
+            epsilon: 1.0,
+            num_tokens: 0.0,
+            feedback: &empty,
+            inv_tau2: 1.0 / ctx.tau2,
+        };
+        let mut lambda = [0.5, -0.5];
+        let err = solve_task_mean(&objective, &mut lambda).unwrap_err();
+        assert!(matches!(err, CoreError::Numerical(_)), "{err}");
+        assert_eq!(lambda, [0.5, -0.5], "λ is left at its start");
     }
 
     #[test]

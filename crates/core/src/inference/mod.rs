@@ -4,9 +4,10 @@
 //! equation numbers documented inline:
 //!
 //! - [`estep`]: the variational-parameter updates (Eqs. 10–15). Worker means
-//!   and variances are closed form (Cholesky solves); task means use
-//!   conjugate gradient; task variances use a monotone root solve; word
-//!   responsibilities and the Taylor parameter are closed form.
+//!   and variances are closed form (Cholesky solves); task means use damped
+//!   Newton on a closed-form K×K Hessian; task variances use a
+//!   bracket-safeguarded Newton root solve; word responsibilities and the
+//!   Taylor parameter are closed form.
 //! - [`mstep`]: the model-parameter updates (Eqs. 16–21), all closed form.
 //! - [`elbo`]: the evidence lower bound `L'(q)` used as the convergence
 //!   criterion (`L'(q^{(n)}) − L'(q^{(n−1)}) ≤ ε` in Algorithm 2).

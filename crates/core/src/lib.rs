@@ -11,7 +11,8 @@
 //! - **Variational inference** (Section 5, Algorithm 2): a mean-field
 //!   approximation `q(W) q(C) q(Z)` optimized by alternating closed-form
 //!   updates (worker skills, word responsibilities, Taylor parameter) with
-//!   conjugate-gradient / root-finding updates for the task posteriors — see
+//!   Newton updates for the task posteriors (damped Newton for the mean, a
+//!   safeguarded Newton root for each variance) — see
 //!   [`inference`] and [`trainer::TdpmTrainer`].
 //! - **Incremental crowd-selection** (Section 6, Algorithm 3): projecting a
 //!   brand-new task onto the learned latent space without refitting, then

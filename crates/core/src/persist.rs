@@ -225,6 +225,24 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_a_retired_config_field_still_loads() {
+        // Snapshots written before the task-mean solver became Newton carry
+        // `config.cg_max_iters`. Fields are looked up by name, so the stale
+        // key is ignored and the format version stays the same.
+        let model = trained_model();
+        let json = ModelSnapshot::capture(&model).to_json().unwrap();
+        let stale = json.replacen("\"config\":{", "\"config\":{\"cg_max_iters\":40,", 1);
+        assert_ne!(stale, json, "the config object was found");
+        let restored = ModelSnapshot::from_json(&stale).unwrap().restore().unwrap();
+        let bits = |v: &Vector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &w in model.worker_ids() {
+            let (a, b) = (model.skill(w).unwrap(), restored.skill(w).unwrap());
+            assert_eq!(bits(&a.mean), bits(&b.mean));
+            assert_eq!(bits(&a.variance), bits(&b.variance));
+        }
+    }
+
+    #[test]
     fn wrong_version_rejected() {
         let model = trained_model();
         let mut snap = ModelSnapshot::capture(&model);

@@ -12,10 +12,10 @@
 //!   matrix–vector products, …).
 //! - [`Cholesky`]: factorization of symmetric positive-definite matrices with
 //!   solve / inverse / log-determinant, used for the closed-form worker-skill
-//!   updates (paper Eq. 10) and for sampling from multivariate normals.
-//! - [`optimize`]: a nonlinear conjugate-gradient minimizer (Polak–Ribière
-//!   with backtracking line search) and a safeguarded 1-D Newton iteration,
-//!   used for the latent-category updates (paper Eqs. 14–15, 22–23).
+//!   updates (paper Eq. 10), the Newton steps of the task-mean updates
+//!   (Eqs. 14, 22) and sampling from multivariate normals.
+//! - [`optimize`]: a bracket-safeguarded 1-D Newton root finder, used for the
+//!   latent-category variances (paper Eqs. 15, 23).
 //! - [`special`]: `lgamma`, `digamma`, `logsumexp`, `softmax` — required by
 //!   the LDA baseline and the logistic-normal topic link.
 //! - [`stats`]: sample means / covariances for the M-step (paper Eqs. 16–19).

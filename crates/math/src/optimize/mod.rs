@@ -1,39 +1,12 @@
 //! Numerical optimization used by the variational E-step.
 //!
 //! The latent-category update (paper Eqs. 14–15 and 22–23) is not available in
-//! closed form; the paper optimizes `λ_c` with a conjugate-gradient algorithm.
-//! We provide:
-//!
-//! - [`minimize_cg`]: nonlinear conjugate gradient (Polak–Ribière⁺ with
-//!   automatic restarts) plus an Armijo backtracking line search, and
-//! - [`solve_decreasing`]: a bracketed root finder for strictly decreasing
-//!   scalar functions, which is the shape of the `ν²` stationarity condition.
+//! closed form. Its mean `λ_c` is minimized by damped Newton in crowd-core
+//! (`estep::solve_task_mean`), on a closed-form K×K Hessian factored by
+//! [`crate::Cholesky`]. Its variances `ν²_c` are the roots of a strictly
+//! decreasing scalar function, which [`solve_decreasing`] finds by a
+//! bracket-safeguarded 1-D Newton iteration.
 
-mod cg;
 mod root;
 
-pub use cg::{minimize_cg, CgOptions, CgOutcome, CgResult};
 pub use root::solve_decreasing;
-
-use crate::Vector;
-
-/// A differentiable scalar function of a vector argument.
-///
-/// Implementations should compute the value and gradient together when that
-/// is cheaper than computing them separately (it usually is for the ELBO
-/// terms in this codebase).
-pub trait Objective {
-    /// Returns `f(x)` and writes `∇f(x)` into `grad`.
-    ///
-    /// `grad` is guaranteed to have the same length as `x`.
-    fn value_and_grad(&self, x: &Vector, grad: &mut Vector) -> f64;
-}
-
-impl<F> Objective for F
-where
-    F: Fn(&Vector, &mut Vector) -> f64,
-{
-    fn value_and_grad(&self, x: &Vector, grad: &mut Vector) -> f64 {
-        self(x, grad)
-    }
-}

@@ -1,6 +1,5 @@
 //! Property-based tests for the math kernels.
 
-use crowd_math::optimize::{minimize_cg, CgOptions};
 use crowd_math::special::{logsumexp, softmax};
 use crowd_math::{Cholesky, Matrix, Vector};
 use proptest::prelude::*;
@@ -76,23 +75,5 @@ proptest! {
         // max ≤ lse ≤ max + ln n
         prop_assert!(lse + 1e-12 >= max);
         prop_assert!(lse <= max + (xs.len() as f64).ln() + 1e-12);
-    }
-
-    #[test]
-    fn cg_reaches_quadratic_minimum(center in small_vec(4)) {
-        let c = Vector::from_vec(center);
-        let f = |x: &Vector, g: &mut Vector| {
-            let mut v = 0.0;
-            for i in 0..x.len() {
-                let d = x[i] - c[i];
-                v += 0.5 * d * d * (1.0 + i as f64);
-                g[i] = d * (1.0 + i as f64);
-            }
-            v
-        };
-        let r = minimize_cg(&f, &Vector::zeros(4), &CgOptions::default());
-        for i in 0..4 {
-            prop_assert!((r.x[i] - c[i]).abs() < 1e-3, "coord {i}");
-        }
     }
 }

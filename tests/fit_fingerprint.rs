@@ -29,14 +29,14 @@ use crowdselect::prelude::*;
 
 /// `objective_trace` bits of both fits.
 const TRACE_BITS: [u64; 4] = [
-    0xc0ed_8fe4_57a0_267a,
-    0xc0e8_4319_d02f_ddcd,
-    0xc0e7_faf5_f32b_d1c9,
-    0xc0e7_d0c1_f10b_60f0,
+    0xc0ed_8c08_0a24_08cf,
+    0xc0e8_42cf_8867_bdc6,
+    0xc0e7_fa81_b14c_00b5,
+    0xc0e7_d02e_234a_cc57,
 ];
 
 /// FNV-1a over the fitted model (see [`model_hash`]).
-const MODEL_HASH: u64 = 0xc33f_46dc_d424_4e4c;
+const MODEL_HASH: u64 = 0xf083_8341_0506_b2a7;
 
 /// Whether this target's libm is the one the constants were taken on.
 const PINNED_TARGET: bool = cfg!(all(target_os = "linux", target_arch = "x86_64"));
