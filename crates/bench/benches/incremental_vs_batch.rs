@@ -32,7 +32,7 @@ fn incremental_vs_batch(c: &mut Criterion) {
         let mut m = model.clone();
         b.iter(|| {
             m.record_feedback(worker, &projection, 3.0).unwrap();
-            black_box(m.skill(worker).unwrap().mean[0])
+            black_box(m.skill_matrix().mean_row(0)[0])
         })
     });
 

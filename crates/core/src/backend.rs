@@ -23,7 +23,6 @@ use crowd_select::{
 };
 use crowd_store::{CrowdDb, TaskId, WorkerId};
 use crowd_text::BagOfWords;
-use std::borrow::Cow;
 
 /// Every candidate the model knows, ranked by posterior-mean score.
 fn rank_every(
@@ -61,7 +60,7 @@ impl CrowdSelector for TdpmModel {
         candidates: &[WorkerId],
     ) -> Vec<RankedWorker> {
         match self.trained_projection(task) {
-            Some(projection) => rank_every(self, projection, candidates),
+            Some(projection) => rank_every(self, &projection, candidates),
             None => CrowdSelector::rank(self, bow, candidates),
         }
     }
@@ -74,11 +73,12 @@ impl CrowdSelector for TdpmModel {
     fn select_batch(&self, queries: &[BatchQuery<'_>], k: usize) -> Vec<Vec<RankedWorker>> {
         let mut out: Vec<Vec<RankedWorker>> = Vec::with_capacity(queries.len());
         for group in crowd_select::shared_candidate_runs(queries) {
-            let projections: Vec<Cow<'_, TaskProjection>> = group
+            let projections: Vec<TaskProjection> = group
                 .iter()
-                .map(|q| match q.task.and_then(|t| self.trained_projection(t)) {
-                    Some(p) => Cow::Borrowed(p),
-                    None => Cow::Owned(self.project_bow(q.bow)),
+                .map(|q| {
+                    q.task
+                        .and_then(|t| self.trained_projection(t))
+                        .unwrap_or_else(|| self.project_bow(q.bow))
                 })
                 .collect();
             let lambdas: Vec<&[f64]> = projections.iter().map(|p| p.lambda.as_slice()).collect();
@@ -102,10 +102,9 @@ impl CrowdSelector for TdpmModel {
         // Prefer the feedback-informed posterior fitted during training;
         // tasks that arrived after fitting get a fresh word-only projection
         // (Algorithm 3 — deterministic, so recomputing is exact).
-        let projection = match self.trained_projection(task) {
-            Some(p) => p.clone(),
-            None => self.project_bow(bow),
-        };
+        let projection = self
+            .trained_projection(task)
+            .unwrap_or_else(|| self.project_bow(bow));
         TdpmModel::add_worker(self, worker);
         self.record_feedback(worker, &projection, score)
             .map_err(|e| SelectError::Update {

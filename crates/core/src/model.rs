@@ -5,13 +5,13 @@ use crate::inference::estep::{update_task, TaskFeedbackStats, TaskPosterior, Tas
 use crate::inference::EStepContext;
 use crate::params::ModelParams;
 use crate::selection::{top_k, RankedWorker};
-use crate::skillmatrix::{PartialRanking, ScoreSpec, SkillMatrix};
+use crate::skillmatrix::{PartialRanking, RowIndex, ScoreSpec, SkillMatrix};
+use crate::variational::Slab;
 use crate::{CoreError, Result};
 use crowd_math::{Cholesky, Matrix, Vector, WorkGuard};
 use crowd_store::{TaskId, WorkerId};
 use crowd_text::BagOfWords;
 use rand::{Rng, RngExt};
-use std::collections::HashMap;
 
 /// Floating-point width of the dense serving path.
 ///
@@ -37,53 +37,170 @@ impl std::fmt::Display for Precision {
     }
 }
 
-/// Posterior skill state for one worker, with the sufficient statistics
-/// and cached precision factor needed for O(K²) incremental updates when
-/// new feedback arrives.
+/// One worker's posterior, copied out of the model's [`SkillMatrix`] row by
+/// [`TdpmModel::skill`].
 #[derive(Debug, Clone)]
 pub struct WorkerSkill {
     /// Posterior mean `λ_w` — the skill vector used for ranking.
     pub mean: Vector,
     /// Posterior diagonal variance `ν_w²`.
     pub variance: Vector,
-    /// `Σ_j (λ_c^j (λ_c^j)ᵀ + diag(ν_c^j²))` over this worker's scored tasks.
-    sum_cc: Matrix,
-    /// `Σ_j s_ij λ_c^j`.
-    sum_sc: Vector,
-    /// `Σ_j (λ²_c,jk + ν²_c,jk)` per coordinate (for Eq. 11).
-    sum_diag: Vector,
-    /// Number of scored tasks folded in.
+    /// Number of scored tasks folded into the posterior.
     num_jobs: usize,
-    /// Cached Cholesky factor of the posterior precision
-    /// `Σ_w⁻¹ + τ⁻² sum_cc`. Maintained by O(K²) rank-1 updates
-    /// ([`crowd_math::Cholesky::rank_one_update`]) instead of O(K³)
-    /// refactorization on every feedback event; rebuilt lazily when absent
-    /// (e.g. after deserialization).
-    precision_chol: Option<Cholesky>,
 }
 
 impl WorkerSkill {
-    fn at_prior(k: usize) -> Self {
-        WorkerSkill {
-            mean: Vector::zeros(k),
-            variance: Vector::filled(k, 1.0),
-            sum_cc: Matrix::zeros(k, k),
-            sum_sc: Vector::zeros(k),
-            sum_diag: Vector::zeros(k),
-            num_jobs: 0,
-            precision_chol: None,
-        }
-    }
-
     /// Number of feedback observations backing this skill estimate.
     pub fn num_jobs(&self) -> usize {
         self.num_jobs
     }
+}
 
-    /// Read access to the incremental-update sufficient statistics
-    /// (`Σ ccᵀ+diag(ν²)`, `Σ s·c`, per-coordinate `Σ (c² + ν²)`).
-    pub(crate) fn sufficient_stats(&self) -> (&Matrix, &Vector, &Vector) {
-        (&self.sum_cc, &self.sum_sc, &self.sum_diag)
+/// The Eq. 10–11 sufficient statistics of every worker, row `i` for the
+/// model's [`SkillMatrix`] row `i`, with the cached precision factors that
+/// let [`TdpmModel::record_feedback`] fold new feedback in without
+/// refitting.
+#[derive(Debug, Clone)]
+pub(crate) struct FeedbackStats {
+    /// `Σ_j (λ_c^j (λ_c^j)ᵀ + diag(ν_c^j²))` over the worker's scored tasks,
+    /// `K × K` row-major per row.
+    pub(crate) sum_cc: Slab,
+    /// `Σ_j s_ij λ_c^j`.
+    pub(crate) sum_sc: Slab,
+    /// `Σ_j (λ²_c,jk + ν²_c,jk)` per coordinate (for Eq. 11).
+    pub(crate) sum_diag: Slab,
+    /// Number of scored tasks folded in.
+    pub(crate) num_jobs: Vec<usize>,
+    /// Cholesky factor of the posterior precision `Σ_w⁻¹ + τ⁻² sum_cc`,
+    /// kept current by O(K²) rank-1 updates
+    /// ([`crowd_math::Cholesky::rank_one_update`]) instead of an O(K³)
+    /// refactorization per feedback event. `None` after fit and restore;
+    /// the next update refactorizes.
+    precision_chol: Vec<Option<Cholesky>>,
+}
+
+impl FeedbackStats {
+    /// Wraps per-row statistics (`sum_cc` `K²` wide, the sums `K` wide,
+    /// one `num_jobs` entry per row) with no cached factors.
+    pub(crate) fn new(sum_cc: Slab, sum_sc: Slab, sum_diag: Slab, num_jobs: Vec<usize>) -> Self {
+        FeedbackStats {
+            precision_chol: vec![None; num_jobs.len()],
+            sum_cc,
+            sum_sc,
+            sum_diag,
+            num_jobs,
+        }
+    }
+
+    /// `rows` rows of empty statistics over `k` categories.
+    pub(crate) fn zeros(k: usize, rows: usize) -> Self {
+        FeedbackStats::new(
+            Slab::filled(rows, k * k, 0.0),
+            Slab::filled(rows, k, 0.0),
+            Slab::filled(rows, k, 0.0),
+            vec![0; rows],
+        )
+    }
+
+    /// Appends one row of empty statistics.
+    fn push_empty(&mut self) {
+        self.sum_cc.push_filled(0.0);
+        self.sum_sc.push_filled(0.0);
+        self.sum_diag.push_filled(0.0);
+        self.num_jobs.push(0);
+        self.precision_chol.push(None);
+    }
+
+    /// The number of rows every per-row field must have: one per worker.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.num_jobs.len()
+    }
+
+    /// Folds one scored task `(λ_c, ν_c², s)` into row `row` with the float
+    /// operations of `Matrix::add_outer` (α = 1, so `x_r` is used as is),
+    /// `Matrix::add_diag` and `Vector::axpy`, in that order, so the trainer
+    /// and [`TdpmModel::record_feedback`] accumulate the same bits.
+    pub(crate) fn fold(&mut self, row: usize, lambda: &[f64], nu2: &[f64], score: f64) {
+        let k = lambda.len();
+        let cc = &mut self.sum_cc[row];
+        for (cc_row, &xr) in cc.chunks_exact_mut(k.max(1)).zip(lambda) {
+            for (value, &xc) in cc_row.iter_mut().zip(lambda) {
+                *value += xr * xc;
+            }
+        }
+        for (i, &v) in nu2.iter().enumerate() {
+            cc[i * k + i] += v;
+        }
+        crate::inference::axpy(&mut self.sum_sc[row], score, lambda);
+        for ((d, &l), &v) in self.sum_diag[row].iter_mut().zip(lambda).zip(nu2) {
+            *d += l * l + v;
+        }
+        self.num_jobs[row] += 1;
+    }
+
+    /// Scales row `row`'s evidence by `rho` (`Matrix::scale`,
+    /// `Vector::scale`) and drops its cached factor: the decay rescales the
+    /// whole data precision, which no sequence of rank-1 updates can
+    /// express.
+    fn decay(&mut self, row: usize, rho: f64) {
+        let sums = self.sum_cc[row]
+            .iter_mut()
+            .chain(self.sum_sc[row].iter_mut())
+            .chain(self.sum_diag[row].iter_mut());
+        for x in sums {
+            *x *= rho;
+        }
+        self.precision_chol[row] = None;
+    }
+}
+
+/// The fitted posteriors of the training tasks: row `j` of each slab and of
+/// `num_tokens` is one task's, found through a dense [`TaskId`] → row
+/// index.
+#[derive(Debug, Clone)]
+pub(crate) struct TrainedTasks {
+    index: RowIndex,
+    /// Posterior means `λ_c`, `K` wide.
+    pub(crate) lambda: Slab,
+    /// Posterior diagonal variances `ν_c²`, `K` wide.
+    pub(crate) nu2: Slab,
+    /// Token count of each task.
+    pub(crate) num_tokens: Vec<f64>,
+}
+
+impl TrainedTasks {
+    /// Row `j` of `lambda`, `nu2` and `num_tokens` is task `ids[j]`'s
+    /// posterior; an id that repeats keeps its last row.
+    pub(crate) fn new(
+        ids: impl IntoIterator<Item = TaskId>,
+        lambda: Slab,
+        nu2: Slab,
+        num_tokens: Vec<f64>,
+    ) -> Self {
+        let mut index = RowIndex::default();
+        for (row, task) in ids.into_iter().enumerate() {
+            index.set(task.0, row);
+        }
+        TrainedTasks {
+            index,
+            lambda,
+            nu2,
+            num_tokens,
+        }
+    }
+
+    /// `(task, row)` of every trained task, in ascending id order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (TaskId, usize)> + '_ {
+        self.index.iter().map(|(id, row)| (TaskId(id), row))
+    }
+
+    fn projection(&self, task: TaskId) -> Option<TaskProjection> {
+        let row = self.index.get(task.0)?;
+        Some(TaskProjection {
+            lambda: Vector::from_vec(self.lambda[row].to_vec()),
+            nu2: Vector::from_vec(self.nu2[row].to_vec()),
+            num_tokens: self.num_tokens[row],
+        })
     }
 }
 
@@ -124,20 +241,18 @@ impl TaskProjection {
 pub struct TdpmModel {
     params: ModelParams,
     config: TdpmConfig,
-    /// Per-worker posterior records, indexed by the worker's row in
-    /// `matrix`: both share one numbering, so the matrix's dense id → row
-    /// index serves both.
-    skills: Vec<WorkerSkill>,
     ctx: EStepContext,
-    /// Fitted posteriors of the training tasks, keyed by store id. Unlike a
-    /// fresh [`TdpmModel::project_bow`] projection these are
-    /// *feedback-informed* (Eqs. 14–15 include the score terms).
-    trained_tasks: HashMap<TaskId, TaskProjection>,
-    /// Dense `W × K` serving snapshot of the posterior means/variances, kept
-    /// in lockstep with `skills` (rebuilt on assembly, row-upserted by
-    /// [`TdpmModel::add_worker`] / [`TdpmModel::record_feedback`]). Every
-    /// selection query scores against this, never against `skills`.
+    /// The worker posteriors — the only copy of each worker's mean and
+    /// variance — built on assembly and row-upserted by
+    /// [`TdpmModel::add_worker`] / [`TdpmModel::record_feedback`]. Its
+    /// dense id → row index numbers the rows of `stats` too.
     matrix: SkillMatrix,
+    /// Incremental-update statistics, one row per matrix row.
+    stats: FeedbackStats,
+    /// Fitted posteriors of the training tasks. Unlike a fresh
+    /// [`TdpmModel::project_bow`] projection these are *feedback-informed*
+    /// (Eqs. 14–15 include the score terms).
+    trained: TrainedTasks,
     /// Online-path metrics (`model` component): projection latency and
     /// incremental-update counts. Handles are resolved once in
     /// [`TdpmModel::set_obs`] so the hot paths never touch the registry
@@ -170,33 +285,38 @@ impl ModelMetrics {
 }
 
 impl TdpmModel {
-    /// Assembles a model from trained parameters and per-worker skill states.
+    /// Assembles a model from trained parameters, the worker posteriors
+    /// with their statistics, and the trained task posteriors.
     ///
-    /// `skills` must be in the same dense order as `worker_ids`, which must
-    /// be distinct ([`CoreError::DuplicateWorker`] otherwise): skill `i`
-    /// becomes matrix row `i`.
+    /// Row `i` of the `K`-wide `means` and `variances` slabs, which move
+    /// into the [`SkillMatrix`], and row `i` of `stats` belong to worker
+    /// `worker_ids[i]`; the ids must be distinct
+    /// ([`CoreError::DuplicateWorker`] otherwise).
     pub(crate) fn assemble(
         params: ModelParams,
         config: TdpmConfig,
-        skills: Vec<WorkerSkill>,
         worker_ids: Vec<WorkerId>,
+        means: Slab,
+        variances: Slab,
+        stats: FeedbackStats,
+        trained: TrainedTasks,
     ) -> Result<Self> {
-        debug_assert_eq!(skills.len(), worker_ids.len(), "one skill per worker");
+        debug_assert_eq!(
+            stats.num_rows(),
+            worker_ids.len(),
+            "one stats row per worker"
+        );
         let ctx = EStepContext::new(&params)?;
-        let mut matrix = SkillMatrix::with_capacity(config.num_categories, worker_ids.len());
-        for (&w, skill) in worker_ids.iter().zip(&skills) {
-            if matrix.row_of(w).is_some() {
-                return Err(CoreError::DuplicateWorker(w));
-            }
-            matrix.upsert(w, skill.mean.as_slice(), skill.variance.as_slice());
-        }
+        let k = config.num_categories;
+        let matrix = SkillMatrix::from_rows(k, worker_ids, means.into_vec(), variances.into_vec())
+            .map_err(CoreError::DuplicateWorker)?;
         Ok(TdpmModel {
             params,
             config,
-            skills,
             ctx,
-            trained_tasks: HashMap::new(),
             matrix,
+            stats,
+            trained,
             metrics: ModelMetrics::resolve(&crowd_obs::Obs::noop()),
         })
     }
@@ -215,7 +335,8 @@ impl TdpmModel {
     ) -> Result<Self> {
         let k = config.num_categories;
         let mut ids = Vec::with_capacity(workers.len());
-        let mut skills = Vec::with_capacity(workers.len());
+        let mut means = Vec::with_capacity(workers.len() * k);
+        let mut variances = Vec::with_capacity(workers.len() * k);
         for (w, mean, variance) in workers {
             if mean.len() != k || variance.len() != k {
                 return Err(CoreError::Numerical(format!(
@@ -224,13 +345,15 @@ impl TdpmModel {
                     variance.len()
                 )));
             }
-            let mut skill = WorkerSkill::at_prior(k);
-            skill.mean = mean;
-            skill.variance = variance;
             ids.push(w);
-            skills.push(skill);
+            means.extend_from_slice(mean.as_slice());
+            variances.extend_from_slice(variance.as_slice());
         }
-        TdpmModel::assemble(params, config, skills, ids)
+        let stats = FeedbackStats::zeros(k, ids.len());
+        let trained =
+            TrainedTasks::new([], Slab::filled(0, k, 0.0), Slab::filled(0, k, 0.0), vec![]);
+        let (means, variances) = (Slab::from_vec(k, means), Slab::from_vec(k, variances));
+        TdpmModel::assemble(params, config, ids, means, variances, stats, trained)
     }
 
     /// Attaches shared observability for the online operations (Algorithm
@@ -239,20 +362,26 @@ impl TdpmModel {
         self.metrics = ModelMetrics::resolve(&obs);
     }
 
-    /// Installs the fitted training-task posteriors (called by the trainer).
-    pub(crate) fn set_trained_tasks(&mut self, tasks: HashMap<TaskId, TaskProjection>) {
-        self.trained_tasks = tasks;
-    }
-
     /// The feedback-informed posterior of a training task, if this model was
-    /// fitted on it.
-    pub fn trained_projection(&self, task: TaskId) -> Option<&TaskProjection> {
-        self.trained_tasks.get(&task)
+    /// fitted on it, copied out of the model's task rows.
+    pub fn trained_projection(&self, task: TaskId) -> Option<TaskProjection> {
+        self.trained.projection(task)
     }
 
-    /// Ids of the training tasks whose fitted posteriors were retained.
+    /// Ids of the training tasks whose fitted posteriors were retained, in
+    /// ascending order.
     pub fn trained_task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.trained_tasks.keys().copied()
+        self.trained.rows().map(|(task, _)| task)
+    }
+
+    /// The trained task posteriors.
+    pub(crate) fn trained_tasks(&self) -> &TrainedTasks {
+        &self.trained
+    }
+
+    /// The incremental-update statistics, one row per matrix row.
+    pub(crate) fn feedback_stats(&self) -> &FeedbackStats {
+        &self.stats
     }
 
     /// The training configuration baked into this model.
@@ -275,11 +404,15 @@ impl TdpmModel {
         self.matrix.ids()
     }
 
-    /// The skill state for a worker.
-    pub fn skill(&self, worker: WorkerId) -> Option<&WorkerSkill> {
-        self.matrix
-            .row_of(worker)
-            .and_then(|row| self.skills.get(row))
+    /// A worker's posterior, copied out of its [`SkillMatrix`] row (selection
+    /// reads the row in place).
+    pub fn skill(&self, worker: WorkerId) -> Option<WorkerSkill> {
+        let row = self.matrix.row_of(worker)?;
+        Some(WorkerSkill {
+            mean: Vector::from_vec(self.matrix.mean_row(row).to_vec()),
+            variance: Vector::from_vec(self.matrix.var_row(row).to_vec()),
+            num_jobs: self.stats.num_jobs[row],
+        })
     }
 
     /// Registers a worker unseen at training time; starts at the prior.
@@ -287,21 +420,27 @@ impl TdpmModel {
         if self.matrix.row_of(worker).is_some() {
             return;
         }
-        let mut skill = WorkerSkill::at_prior(self.num_categories());
-        skill.mean = self.params.mu_w.clone();
-        for k in 0..self.num_categories() {
-            skill.variance[k] = 1.0 / self.ctx.sigma_w_inv[(k, k)];
-        }
+        let variance: Vec<f64> = (0..self.num_categories())
+            .map(|k| 1.0 / self.ctx.sigma_w_inv[(k, k)])
+            .collect();
         self.matrix
-            .upsert(worker, skill.mean.as_slice(), skill.variance.as_slice());
-        self.skills.push(skill);
-        crate::validate::run(&self.metrics.validations, "add_worker", || {
-            let skill = &self.skills[self.skills.len() - 1];
-            crowd_math::Validate::validate(skill).map_err(|e| format!("skill[{worker:?}]: {e}"))
+            .upsert(worker, self.params.mu_w.as_slice(), &variance);
+        self.stats.push_empty();
+        self.validate_row(self.matrix.num_workers() - 1, "add_worker");
+    }
+
+    /// Checks matrix row `row` (when validation is compiled in).
+    fn validate_row(&self, row: usize, what: &str) {
+        crate::validate::run(&self.metrics.validations, what, || {
+            crate::validate::check_posterior_row(
+                self.matrix.mean_row(row),
+                self.matrix.var_row(row),
+            )
+            .map_err(|e| format!("skill[{:?}]: {e}", self.matrix.ids()[row]))
         });
     }
 
-    /// The dense serving snapshot of every worker's posterior.
+    /// Every worker's posterior, in the dense serving layout.
     pub fn skill_matrix(&self) -> &SkillMatrix {
         &self.matrix
     }
@@ -400,10 +539,10 @@ impl TdpmModel {
         self.matrix.select(lambdas, &resolved, k, &spec)
     }
 
-    /// Reference top-k selection through the per-worker skill records (one
-    /// row lookup + `Vector::dot` per candidate) — the pre-dense serial
-    /// path, kept as the bit-identity oracle for the property tests and the
-    /// benchmark baseline.
+    /// Reference top-k selection through [`TdpmModel::skill`] (one row
+    /// lookup, an owned copy and a `Vector` dot per candidate) — the
+    /// pre-dense serial path, kept as the bit-identity oracle for the
+    /// property tests and the benchmark baseline.
     pub fn select_top_k_serial(
         &self,
         projection: &TaskProjection,
@@ -443,8 +582,8 @@ impl TdpmModel {
         )
     }
 
-    /// Reference optimistic selection through the per-worker skill records —
-    /// the bit-identity oracle for [`TdpmModel::select_top_k_optimistic`].
+    /// Reference optimistic selection through [`TdpmModel::skill`] — the
+    /// bit-identity oracle for [`TdpmModel::select_top_k_optimistic`].
     pub fn select_top_k_optimistic_serial(
         &self,
         projection: &TaskProjection,
@@ -490,7 +629,8 @@ impl TdpmModel {
     /// worker's posterior without refitting the model ("After solving the
     /// task, the skills of workers involved can be updated", Section 4.2).
     ///
-    /// Cost: one `K×K` Cholesky solve.
+    /// Cost: one `K×K` Cholesky solve. A projection whose `lambda` or
+    /// `nu2` is not `K` long is rejected before anything changes.
     pub fn record_feedback(
         &mut self,
         worker: WorkerId,
@@ -498,7 +638,7 @@ impl TdpmModel {
         score: f64,
     ) -> Result<()> {
         let started = std::time::Instant::now();
-        let idx = self
+        let row = self
             .matrix
             .row_of(worker)
             .ok_or(CoreError::UnknownWorker(worker))?;
@@ -508,34 +648,34 @@ impl TdpmModel {
             )));
         }
         let k = self.num_categories();
-        let skill = &mut self.skills[idx];
+        if projection.lambda.len() != k || projection.nu2.len() != k {
+            return Err(CoreError::Numerical(format!(
+                "projection has length {}/{}, expected {k}",
+                projection.lambda.len(),
+                projection.nu2.len()
+            )));
+        }
+        let stats = &mut self.stats;
         let rho = self.config.feedback_forgetting;
         if rho < 1.0 {
             // Feedback-weighted update: geometrically discount the old
             // evidence so the posterior tracks non-stationary skills. The
-            // decay rescales the whole data precision, which no sequence of
-            // rank-1 updates can express — drop the cached factor and
-            // refactorize below.
-            skill.sum_cc.scale(rho);
-            skill.sum_sc.scale(rho);
-            skill.sum_diag.scale(rho);
-            skill.precision_chol = None;
+            // decay drops the cached factor; it is refactorized below.
+            stats.decay(row, rho);
         }
-        skill.sum_cc.add_outer(1.0, projection.lambda.as_slice())?;
-        skill.sum_cc.add_diag(projection.nu2.as_slice())?;
-        skill.sum_sc.axpy(score, &projection.lambda)?;
-        for kk in 0..k {
-            skill.sum_diag[kk] +=
-                projection.lambda[kk] * projection.lambda[kk] + projection.nu2[kk];
-        }
-        skill.num_jobs += 1;
+        stats.fold(
+            row,
+            projection.lambda.as_slice(),
+            projection.nu2.as_slice(),
+            score,
+        );
 
         // Re-solve Eq. 10 / Eq. 11 for this worker. The cached precision
         // factor absorbs the new observation with two O(K²) updates:
         // a rank-1 for τ⁻¹λ_c and a diagonal one for τ⁻²ν_c².
         let inv_tau2 = 1.0 / self.ctx.tau2;
         let inv_tau = inv_tau2.sqrt();
-        let chol = match skill.precision_chol.take() {
+        let chol = match stats.precision_chol[row].take() {
             Some(mut chol) => {
                 let mut scaled = projection.lambda.clone();
                 scaled.scale(inv_tau);
@@ -546,58 +686,29 @@ impl TdpmModel {
             }
             None => {
                 let mut precision = self.ctx.sigma_w_inv.clone();
-                precision.axpy(inv_tau2, &skill.sum_cc)?;
+                precision.axpy(
+                    inv_tau2,
+                    &Matrix::from_rows(k, k, stats.sum_cc[row].to_vec())?,
+                )?;
                 Cholesky::factor_with_jitter(&precision, 1e-10, 40)?
             }
         };
         let mut rhs = self.ctx.prior_rhs_w.clone();
-        rhs.axpy(inv_tau2, &skill.sum_sc)?;
-        skill.mean = chol.solve(&rhs)?;
-        skill.precision_chol = Some(chol);
-        for kk in 0..k {
-            skill.variance[kk] =
-                1.0 / (inv_tau2 * skill.sum_diag[kk] + self.ctx.sigma_w_inv[(kk, kk)]);
-        }
-        self.matrix
-            .upsert(worker, skill.mean.as_slice(), skill.variance.as_slice());
-        crate::validate::run(&self.metrics.validations, "record_feedback", || {
-            let skill = &self.skills[idx];
-            crowd_math::Validate::validate(skill).map_err(|e| format!("skill[{worker:?}]: {e}"))?;
-            if self.matrix.mean_row(idx) != skill.mean.as_slice()
-                || self.matrix.var_row(idx) != skill.variance.as_slice()
-            {
-                return Err(format!(
-                    "serving snapshot out of lockstep with skill posterior for {worker:?}"
-                ));
-            }
-            Ok(())
-        });
+        crate::inference::axpy(rhs.as_mut_slice(), inv_tau2, &stats.sum_sc[row]);
+        let mean = chol.solve(&rhs)?;
+        stats.precision_chol[row] = Some(chol);
+        let variance: Vec<f64> = stats.sum_diag[row]
+            .iter()
+            .enumerate()
+            .map(|(kk, &d)| 1.0 / (inv_tau2 * d + self.ctx.sigma_w_inv[(kk, kk)]))
+            .collect();
+        self.matrix.upsert(worker, mean.as_slice(), &variance);
+        self.validate_row(row, "record_feedback");
         self.metrics.incremental_updates.inc();
         self.metrics
             .incremental_update_seconds
             .observe_duration(started.elapsed());
         Ok(())
-    }
-
-    /// Builds the per-worker skill states from final variational quantities
-    /// (called by the trainer).
-    pub(crate) fn skill_from_training(
-        mean: Vector,
-        variance: Vector,
-        sum_cc: Matrix,
-        sum_sc: Vector,
-        sum_diag: Vector,
-        num_jobs: usize,
-    ) -> WorkerSkill {
-        WorkerSkill {
-            mean,
-            variance,
-            sum_cc,
-            sum_sc,
-            sum_diag,
-            num_jobs,
-            precision_chol: None,
-        }
     }
 }
 
@@ -632,15 +743,14 @@ mod tests {
             num_categories: k,
             ..TdpmConfig::default()
         };
-        let mut cs = WorkerSkill::at_prior(k);
-        cs.mean = Vector::from_vec(vec![3.0, 0.2]);
-        let mut math = WorkerSkill::at_prior(k);
-        math.mean = Vector::from_vec(vec![0.2, 3.0]);
-        TdpmModel::assemble(
+        let prior = Vector::filled(k, 1.0);
+        TdpmModel::from_posteriors(
             params,
             config,
-            vec![cs, math],
-            vec![WorkerId(0), WorkerId(1)],
+            vec![
+                (WorkerId(0), Vector::from_vec(vec![3.0, 0.2]), prior.clone()),
+                (WorkerId(1), Vector::from_vec(vec![0.2, 3.0]), prior),
+            ],
         )
         .unwrap()
     }
@@ -727,6 +837,53 @@ mod tests {
             Err(CoreError::UnknownWorker(_))
         ));
         assert!(model.record_feedback(WorkerId(0), &proj, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn a_rejected_feedback_changes_nothing() {
+        let k = 2;
+        let projection = |lambda: &[f64], nu2: &[f64]| TaskProjection {
+            lambda: Vector::from_vec(lambda.to_vec()),
+            nu2: Vector::from_vec(nu2.to_vec()),
+            num_tokens: 0.0,
+        };
+        let good = projection(&[1.0, 0.5], &[0.25, 0.125]);
+        let rejected = [
+            projection(&[1.0, 0.5], &[0.25, 0.125, 0.5]),
+            projection(&[1.0, 0.5, 2.0], &[0.25, 0.125]),
+            projection(&[1.0], &[0.25]),
+        ];
+        let capture = |m: &TdpmModel| crate::ModelSnapshot::capture(m).to_json().unwrap();
+        for rho in [1.0, 0.9] {
+            let config = TdpmConfig {
+                num_categories: k,
+                feedback_forgetting: rho,
+                ..TdpmConfig::default()
+            };
+            let mut model = TdpmModel::from_posteriors(
+                ModelParams::neutral(k, 2),
+                config,
+                vec![(
+                    WorkerId(0),
+                    Vector::from_vec(vec![1.0, -0.5]),
+                    Vector::filled(k, 1.0),
+                )],
+            )
+            .unwrap();
+            // Non-zero sums and, at ρ = 1, a cached factor.
+            model.record_feedback(WorkerId(0), &good, 2.0).unwrap();
+            let mut twin = model.clone();
+            let before = capture(&model);
+            for bad in &rejected {
+                assert!(model.record_feedback(WorkerId(0), bad, 1.0).is_err());
+                assert_eq!(capture(&model), before, "rho = {rho}");
+            }
+            // The cached factor is untouched too: the next update matches a
+            // model that never saw the rejected calls.
+            model.record_feedback(WorkerId(0), &good, 3.0).unwrap();
+            twin.record_feedback(WorkerId(0), &good, 3.0).unwrap();
+            assert_eq!(capture(&model), capture(&twin), "rho = {rho}");
+        }
     }
 
     #[test]

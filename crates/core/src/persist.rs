@@ -7,10 +7,11 @@
 //! Derived quantities (`Σ⁻¹`, `log β`, …) are rebuilt on load.
 
 use crate::config::TdpmConfig;
-use crate::model::{TaskProjection, TdpmModel};
+use crate::model::{FeedbackStats, TdpmModel, TrainedTasks};
 use crate::params::ModelParams;
+use crate::variational::Slab;
 use crate::{CoreError, Result};
-use crowd_math::{Matrix, Vector};
+use crowd_math::Vector;
 use crowd_store::{TaskId, WorkerId};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -31,46 +32,81 @@ struct WorkerEntry {
     id: WorkerId,
     mean: Vector,
     variance: Vector,
-    sum_cc: Matrix,
+    sum_cc: SquareImage,
     sum_sc: Vector,
     sum_diag: Vector,
     num_jobs: usize,
 }
 
+/// A `K × K` statistic in `crowd_math::Matrix`'s serialized form, with its
+/// entries readable for the shape check on restore.
+#[derive(Debug, Serialize, Deserialize)]
+struct SquareImage {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// The first `(field, length, expected length)` of `owner` that is off,
+/// as a typed error: a malformed snapshot.
+fn check_lens(owner: impl std::fmt::Debug, lens: &[(&str, usize, usize)]) -> Result<()> {
+    match lens.iter().find(|&&(_, len, want)| len != want) {
+        None => Ok(()),
+        Some(&(field, len, want)) => Err(CoreError::Numerical(format!(
+            "snapshot {field} of {owner:?} has {len} entries, expected {want}"
+        ))),
+    }
+}
+
+/// Copies `rows`, each `width` entries long, one after another into a slab.
+fn slab<'a>(width: usize, rows: impl ExactSizeIterator<Item = &'a [f64]>) -> Slab {
+    let mut data = Vec::with_capacity(rows.len() * width);
+    for row in rows {
+        data.extend_from_slice(row);
+    }
+    Slab::from_vec(width, data)
+}
 
 impl ModelSnapshot {
     /// Captures a model.
     pub fn capture(model: &TdpmModel) -> Self {
-        let workers = model
-            .worker_ids()
+        let k = model.num_categories();
+        let matrix = model.skill_matrix();
+        let stats = model.feedback_stats();
+        let row_vector = |row: &[f64]| Vector::from_vec(row.to_vec());
+        let workers = matrix
+            .ids()
             .iter()
-            // `worker_ids` and `skill` read the same row index, so every
-            // listed worker resolves; `filter_map` keeps the capture total
-            // anyway.
-            .filter_map(|&id| {
-                let s = model.skill(id)?;
-                let (sum_cc, sum_sc, sum_diag) = s.sufficient_stats();
-                Some(WorkerEntry {
-                    id,
-                    mean: s.mean.clone(),
-                    variance: s.variance.clone(),
-                    sum_cc: sum_cc.clone(),
-                    sum_sc: sum_sc.clone(),
-                    sum_diag: sum_diag.clone(),
-                    num_jobs: s.num_jobs(),
-                })
+            .enumerate()
+            .map(|(row, &id)| WorkerEntry {
+                id,
+                mean: row_vector(matrix.mean_row(row)),
+                variance: row_vector(matrix.var_row(row)),
+                sum_cc: SquareImage {
+                    rows: k,
+                    cols: k,
+                    data: stats.sum_cc[row].to_vec(),
+                },
+                sum_sc: row_vector(&stats.sum_sc[row]),
+                sum_diag: row_vector(&stats.sum_diag[row]),
+                num_jobs: stats.num_jobs[row],
             })
             .collect();
-        let mut trained_tasks: Vec<(TaskId, Vector, Vector, f64)> = model
-            .trained_task_ids()
-            .filter_map(|t| {
-                let p = model.trained_projection(t)?;
-                Some((t, p.lambda.clone(), p.nu2.clone(), p.num_tokens))
+        let tasks = model.trained_tasks();
+        let trained_tasks = tasks
+            .rows()
+            .map(|(t, row)| {
+                (
+                    t,
+                    row_vector(&tasks.lambda[row]),
+                    row_vector(&tasks.nu2[row]),
+                    tasks.num_tokens[row],
+                )
             })
             .collect();
-        trained_tasks.sort_by_key(|&(t, _, _, _)| t);
         ModelSnapshot {
             version: SNAPSHOT_VERSION,
             config: model.config().clone(),
@@ -81,6 +117,11 @@ impl ModelSnapshot {
     }
 
     /// Rebuilds the model (recomputing cached derived quantities).
+    ///
+    /// Returns [`CoreError::Numerical`] for an unknown version, parameters
+    /// whose `K` is not the config's, or a posterior or statistic of the
+    /// wrong length, and [`CoreError::DuplicateWorker`] for a repeated
+    /// worker id.
     pub fn restore(self) -> Result<TdpmModel> {
         if self.version != SNAPSHOT_VERSION {
             return Err(CoreError::Numerical(format!(
@@ -88,33 +129,69 @@ impl ModelSnapshot {
                 self.version
             )));
         }
-        let worker_ids: Vec<WorkerId> = self.workers.iter().map(|w| w.id).collect();
-        let skills = self
-            .workers
-            .into_iter()
-            .map(|w| {
-                TdpmModel::skill_from_training(
-                    w.mean, w.variance, w.sum_cc, w.sum_sc, w.sum_diag, w.num_jobs,
-                )
-            })
-            .collect();
-        let mut model = TdpmModel::assemble(self.params, self.config, skills, worker_ids)?;
-        let trained = self
-            .trained_tasks
-            .into_iter()
-            .map(|(t, lambda, nu2, num_tokens)| {
-                (
-                    t,
-                    TaskProjection {
-                        lambda,
-                        nu2,
-                        num_tokens,
-                    },
-                )
-            })
-            .collect();
-        model.set_trained_tasks(trained);
-        Ok(model)
+        self.check_shapes()?;
+        let ModelSnapshot {
+            config,
+            params,
+            workers,
+            trained_tasks,
+            ..
+        } = self;
+        let k = config.num_categories;
+        let stats = FeedbackStats::new(
+            slab(k * k, workers.iter().map(|w| w.sum_cc.data.as_slice())),
+            slab(k, workers.iter().map(|w| w.sum_sc.as_slice())),
+            slab(k, workers.iter().map(|w| w.sum_diag.as_slice())),
+            workers.iter().map(|w| w.num_jobs).collect(),
+        );
+        let trained = TrainedTasks::new(
+            trained_tasks.iter().map(|&(t, _, _, _)| t),
+            slab(k, trained_tasks.iter().map(|(_, l, _, _)| l.as_slice())),
+            slab(k, trained_tasks.iter().map(|(_, _, v, _)| v.as_slice())),
+            trained_tasks.iter().map(|&(_, _, _, n)| n).collect(),
+        );
+        let ids = workers.iter().map(|w| w.id).collect();
+        let means = slab(k, workers.iter().map(|w| w.mean.as_slice()));
+        let variances = slab(k, workers.iter().map(|w| w.variance.as_slice()));
+        TdpmModel::assemble(params, config, ids, means, variances, stats, trained)
+    }
+
+    /// Every row `K` wide (`sum_cc` `K × K`), with the parameters' `K`
+    /// equal to the config's — checked before anything is built.
+    fn check_shapes(&self) -> Result<()> {
+        let k = self.config.num_categories;
+        let p = &self.params;
+        check_lens(
+            "params",
+            &[
+                ("mu_w", p.mu_w.len(), k),
+                ("mu_c", p.mu_c.len(), k),
+                ("sigma_w rows", p.sigma_w.rows(), k),
+                ("sigma_w cols", p.sigma_w.cols(), k),
+                ("sigma_c rows", p.sigma_c.rows(), k),
+                ("sigma_c cols", p.sigma_c.cols(), k),
+                ("beta rows", p.beta.rows(), k),
+            ],
+        )?;
+        for w in &self.workers {
+            let cc = &w.sum_cc;
+            check_lens(
+                w.id,
+                &[
+                    ("mean", w.mean.len(), k),
+                    ("variance", w.variance.len(), k),
+                    ("sum_sc", w.sum_sc.len(), k),
+                    ("sum_diag", w.sum_diag.len(), k),
+                    ("sum_cc rows", cc.rows, k),
+                    ("sum_cc cols", cc.cols, k),
+                    ("sum_cc", cc.data.len(), k * k),
+                ],
+            )?;
+        }
+        for (t, lambda, nu2, _) in &self.trained_tasks {
+            check_lens(t, &[("lambda", lambda.len(), k), ("nu2", nu2.len(), k)])?;
+        }
+        Ok(())
     }
 
     /// Serializes to JSON.
@@ -239,6 +316,51 @@ mod tests {
             let (a, b) = (model.skill(w).unwrap(), restored.skill(w).unwrap());
             assert_eq!(bits(&a.mean), bits(&b.mean));
             assert_eq!(bits(&a.variance), bits(&b.variance));
+        }
+    }
+
+    /// `json` with the last entry cut from the `skip`-th `"data":[…]` array
+    /// after the first `anchor` (`skip = 0` is the first array).
+    fn shorten(json: &str, anchor: &str, skip: usize) -> String {
+        let key = "\"data\":[";
+        let mut open = json.find(anchor).expect("anchor") + anchor.len();
+        for _ in 0..=skip {
+            open += json[open..].find(key).expect("array") + key.len();
+        }
+        let close = open + json[open..].find(']').expect("array end");
+        let cut = open + json[open..close].rfind(',').expect("two entries");
+        format!("{}{}", &json[..cut], &json[close..])
+    }
+
+    #[test]
+    fn malformed_snapshots_are_typed_errors() {
+        let json = ModelSnapshot::capture(&trained_model()).to_json().unwrap();
+        let tasks = "\"trained_tasks\":[";
+        // (the field the error must name, the hand-edited snapshot)
+        let edits = [
+            (
+                "mu_w",
+                json.replacen("\"num_categories\":2", "\"num_categories\":3", 1),
+            ),
+            ("mean", shorten(&json, "\"mean\":", 0)),
+            ("variance", shorten(&json, "\"variance\":", 0)),
+            ("sum_cc", shorten(&json, "\"sum_cc\":", 0)),
+            (
+                "sum_cc rows",
+                json.replacen("\"sum_cc\":{\"rows\":2", "\"sum_cc\":{\"rows\":1", 1),
+            ),
+            ("sum_sc", shorten(&json, "\"sum_sc\":", 0)),
+            ("sum_diag", shorten(&json, "\"sum_diag\":", 0)),
+            ("lambda", shorten(&json, tasks, 0)),
+            ("nu2", shorten(&json, tasks, 1)),
+        ];
+        for (field, bad) in edits {
+            assert_ne!(bad, json, "{field}: the edit applied");
+            let snap = ModelSnapshot::from_json(&bad).expect("still valid JSON");
+            match snap.restore() {
+                Err(CoreError::Numerical(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field}: {:?}", other.map(|_| ())),
+            }
         }
     }
 

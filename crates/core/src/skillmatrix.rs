@@ -1,17 +1,15 @@
 //! Dense serving snapshot of the worker-skill posteriors.
 //!
 //! The online selection query (paper Eq. 1; Algorithm 3 line 7) scores every
-//! candidate worker against one projected task. Serving that from the
-//! per-worker [`crate::model::WorkerSkill`] records means a scattered
-//! heap-allocated [`crowd_math::Vector`] dot per candidate per query.
-//! [`SkillMatrix`] is the dense alternative: a contiguous row-major
-//! `W × K` structure-of-arrays snapshot of the posterior means, with a
-//! parallel `W × K` variance block for the optimistic (UCB) path, an f32
-//! mirror of the means for the opt-in reduced-precision serving path, and a
-//! dense [`WorkerId`] → row index. The model keeps it in lockstep with
-//! the skill records — rebuilt on fit/assembly and row-upserted on
-//! `add_worker` / `record_feedback` — so selection never touches the
-//! per-worker `Vector` storage at all.
+//! candidate worker against one projected task. [`SkillMatrix`] is the only
+//! home of the worker posteriors: a contiguous row-major `W × K`
+//! structure-of-arrays block of the posterior means, with a parallel `W × K`
+//! variance block for the optimistic (UCB) path, an f32 mirror of the means
+//! for the opt-in reduced-precision serving path, and a dense [`WorkerId`]
+//! → row index. The model fills it at fit or restore time and row-upserts it
+//! on `add_worker` / `record_feedback`; the model's incremental-update
+//! statistics live beside it, one row per matrix row, because selection
+//! never reads them.
 //!
 //! The dense blocks live behind `Arc` because parallel selection no longer
 //! spawns scoped threads per call: chunk jobs are `'static` closures
@@ -60,14 +58,59 @@ const NO_ROW: u32 = u32::MAX;
 
 /// The one audited usize → u32 narrowing for row numbers.
 ///
-/// Rows are numbered 0, 1, 2, … in insertion order, one per distinct
-/// `u32` worker id, so a row number fits `u32`; reaching the [`NO_ROW`]
+/// Rows are numbered 0, 1, 2, … in insertion order, at most one per
+/// distinct `u32` id, so a row number fits `u32`; reaching the [`NO_ROW`]
 /// sentinel would take 2^32 − 1 rows, which exhausts memory first. The
 /// wrap stays (asserted in debug builds), as in the store's `dense_id`.
 fn row_number(n: usize) -> u32 {
     debug_assert!(n < NO_ROW as usize, "row space exhausted");
     // crowd-lint: allow(no-silent-truncation) -- single audited choke point; debug-asserted, unreachable before memory exhaustion
     n as u32
+}
+
+/// Dense id → row index: the worker rows of a [`SkillMatrix`] and the
+/// trained-task rows of a [`crate::TdpmModel`].
+///
+/// `rows[id]` is `id`'s row, [`NO_ROW`] when it has none. Store ids are
+/// dense indexes (0, 1, 2, …), so this costs 4 B × (largest id + 1) and
+/// every lookup is one array read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowIndex {
+    rows: Vec<u32>,
+}
+
+impl RowIndex {
+    /// An empty index with room for ids below `ids`.
+    pub(crate) fn with_capacity(ids: usize) -> Self {
+        RowIndex {
+            rows: Vec::with_capacity(ids),
+        }
+    }
+
+    /// The row of `id`, if it has one.
+    pub(crate) fn get(&self, id: u32) -> Option<usize> {
+        match self.rows.get(id as usize) {
+            Some(&row) if row != NO_ROW => Some(row as usize),
+            _ => None,
+        }
+    }
+
+    /// Points `id` at `row`, replacing any row it had.
+    pub(crate) fn set(&mut self, id: u32, row: usize) {
+        let slot = id as usize;
+        if slot >= self.rows.len() {
+            self.rows.resize(slot + 1, NO_ROW);
+        }
+        self.rows[slot] = row_number(row);
+    }
+
+    /// `(id, row)` for every id that has a row, in ascending id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        (0u32..)
+            .zip(&self.rows)
+            .filter(|&(_, &row)| row != NO_ROW)
+            .map(|(id, &row)| (id, row as usize))
+    }
 }
 
 /// Smallest candidate chunk worth handing to the [`ScoringPool`].
@@ -321,11 +364,8 @@ pub struct SkillMatrix {
     k: usize,
     /// Worker id by row.
     ids: Vec<WorkerId>,
-    /// Row by worker id: `rows[w.index()]` is `w`'s row, [`NO_ROW`] when
-    /// `w` has none. Worker ids are dense store indexes (0, 1, 2, …), so
-    /// this costs 4 B × (largest id + 1) and every lookup is one array
-    /// read.
-    rows: Vec<u32>,
+    /// Row by worker id.
+    rows: RowIndex,
     /// Row-major `W × K` posterior means (`λ_w`).
     means: Arc<Vec<f64>>,
     /// Row-major `W × K` posterior diagonal variances (`ν_w²`).
@@ -338,19 +378,41 @@ pub struct SkillMatrix {
 impl SkillMatrix {
     /// An empty matrix over `k` latent categories.
     pub fn new(k: usize) -> Self {
-        SkillMatrix::with_capacity(k, 0)
-    }
-
-    /// An empty matrix with room for `workers` rows.
-    pub fn with_capacity(k: usize, workers: usize) -> Self {
         SkillMatrix {
             k,
-            ids: Vec::with_capacity(workers),
-            rows: Vec::with_capacity(workers),
-            means: Arc::new(Vec::with_capacity(workers * k)),
-            vars: Arc::new(Vec::with_capacity(workers * k)),
-            means_f32: Arc::new(Vec::with_capacity(workers * k)),
+            ..SkillMatrix::default()
         }
+    }
+
+    /// A matrix whose row `i` is worker `ids[i]`, with row `i` of the
+    /// row-major, `k`-wide `means` and `vars` moved in as the blocks.
+    /// Returns the first id that repeats.
+    pub(crate) fn from_rows(
+        k: usize,
+        ids: Vec<WorkerId>,
+        means: Vec<f64>,
+        vars: Vec<f64>,
+    ) -> Result<Self, WorkerId> {
+        debug_assert!(
+            means.len() == ids.len() * k && vars.len() == ids.len() * k,
+            "one {k}-wide row per id"
+        );
+        let mut rows = RowIndex::with_capacity(ids.len());
+        for (row, &w) in ids.iter().enumerate() {
+            if rows.get(w.0).is_some() {
+                return Err(w);
+            }
+            rows.set(w.0, row);
+        }
+        let means_f32 = means.iter().map(|&m| m as f32).collect();
+        Ok(SkillMatrix {
+            k,
+            ids,
+            rows,
+            means: Arc::new(means),
+            vars: Arc::new(vars),
+            means_f32: Arc::new(means_f32),
+        })
     }
 
     /// Number of latent categories `K`.
@@ -370,10 +432,7 @@ impl SkillMatrix {
 
     /// Row index of a worker, if present.
     pub fn row_of(&self, worker: WorkerId) -> Option<usize> {
-        match self.rows.get(worker.index()) {
-            Some(&row) if row != NO_ROW => Some(row as usize),
-            _ => None,
-        }
+        self.rows.get(worker.0)
     }
 
     /// The mean row of a worker.
@@ -393,11 +452,11 @@ impl SkillMatrix {
 
     /// Inserts or overwrites the row for `worker`.
     ///
-    /// Both slices must have length `K`. This is the single maintenance
-    /// entry point: assembly pushes every fitted worker through it, and the
-    /// incremental paths (`add_worker`, `record_feedback`) upsert the one
-    /// row they touched. The f32 mirror is refreshed here too (round-to-
-    /// nearest per element), so it can never drift from the f64 truth.
+    /// Both slices must have length `K`. The incremental paths
+    /// (`add_worker`, `record_feedback`) upsert the one row they touched.
+    /// The f32 mirror is refreshed here too (round-to-nearest per element,
+    /// as when the matrix is built), so it can never drift from the f64
+    /// truth.
     ///
     /// # Panics
     ///
@@ -422,11 +481,7 @@ impl SkillMatrix {
                 }
             }
             None => {
-                let slot = worker.index();
-                if slot >= self.rows.len() {
-                    self.rows.resize(slot + 1, NO_ROW);
-                }
-                self.rows[slot] = row_number(self.ids.len());
+                self.rows.set(worker.0, self.ids.len());
                 self.ids.push(worker);
                 means.extend_from_slice(mean);
                 vars.extend_from_slice(var);

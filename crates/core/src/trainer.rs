@@ -6,12 +6,12 @@ use crate::inference::elbo::elbo;
 use crate::inference::estep::{run_task_range, run_worker_range};
 use crate::inference::mstep::update_params;
 use crate::inference::suffstats::ShardPlan;
-use crate::inference::{axpy, EStepContext};
-use crate::model::TdpmModel;
+use crate::inference::EStepContext;
+use crate::model::{FeedbackStats, TdpmModel, TrainedTasks};
 use crate::params::ModelParams;
 use crate::variational::VariationalState;
 use crate::{CoreError, Result};
-use crowd_math::{Matrix, ScoringPool, Validate, Vector};
+use crowd_math::{Matrix, ScoringPool, Validate};
 use crowd_select::FitDiagnostics;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -289,59 +289,42 @@ impl TdpmTrainer {
             }
         }
 
-        // Assemble the model: worker skills + their sufficient statistics so
-        // incremental updates can continue from where training left off.
-        let mut skills = Vec::with_capacity(ts.num_workers());
+        // Keep the posteriors and free φ and ε. Fold each worker's scored
+        // tasks into the statistics that incremental updates continue from
+        // while the worker index is alive, then free the index before the
+        // serving matrix is built; every posterior slab moves into the
+        // model without a copy.
+        let VariationalState {
+            lambda_w,
+            nu2_w,
+            lambda_c,
+            nu2_c,
+            ..
+        } = Arc::unwrap_or_clone(state);
+        let mut stats = FeedbackStats::zeros(k, ts.num_workers());
         for (i, worker_scores) in driver.by_worker.iter().enumerate() {
-            let mut sum_cc = Matrix::zeros(k, k);
-            let mut sum_sc = Vector::zeros(k);
-            let mut sum_diag = Vector::zeros(k);
             for &(j, s) in worker_scores {
-                let (lc, nc2) = (&state.lambda_c[j], &state.nu2_c[j]);
-                sum_cc.add_outer(1.0, lc)?;
-                sum_cc.add_diag(nc2)?;
-                axpy(sum_sc.as_mut_slice(), s, lc);
-                for kk in 0..k {
-                    sum_diag[kk] += lc[kk] * lc[kk] + nc2[kk];
-                }
+                stats.fold(i, &lambda_c[j], &nu2_c[j], s);
             }
-            skills.push(TdpmModel::skill_from_training(
-                Vector::from_vec(state.lambda_w[i].to_vec()),
-                Vector::from_vec(state.nu2_w[i].to_vec()),
-                sum_cc,
-                sum_sc,
-                sum_diag,
-                worker_scores.len(),
-            ));
         }
-
-        // Retain the fitted (feedback-informed) task posteriors so resolved
+        drop(driver);
+        // The fitted (feedback-informed) task posteriors, kept so resolved
         // tasks can be ranked without a word-only re-projection.
-        let trained = ts
-            .tasks()
-            .iter()
-            .enumerate()
-            .map(|(j, t)| {
-                (
-                    t.task,
-                    crate::model::TaskProjection {
-                        lambda: Vector::from_vec(state.lambda_c[j].to_vec()),
-                        nu2: Vector::from_vec(state.nu2_c[j].to_vec()),
-                        num_tokens: t.num_tokens,
-                    },
-                )
-            })
-            .collect();
-        // Everything the model needs is copied out of the EM state and the
-        // worker index: free them before the serving matrix is built.
-        drop((driver, state));
+        let trained = TrainedTasks::new(
+            ts.tasks().iter().map(|t| t.task),
+            lambda_c,
+            nu2_c,
+            ts.tasks().iter().map(|t| t.num_tokens).collect(),
+        );
         let mut model = TdpmModel::assemble(
             params,
             self.config.clone(),
-            skills,
             ts.worker_ids().to_vec(),
+            lambda_w,
+            nu2_w,
+            stats,
+            trained,
         )?;
-        model.set_trained_tasks(trained);
         model.set_obs(self.obs.clone());
         crate::validate::run(&validations, "model assembly", || {
             Validate::validate(&model)

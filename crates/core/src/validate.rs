@@ -4,8 +4,8 @@
 //! propagates through every later E-step and surfaces — many iterations
 //! later — as a subtly wrong ranking rather than a crash. The hooks in this
 //! module pin the model's structural invariants (finiteness, positive
-//! variances, row-stochastic responsibilities, serving-snapshot lockstep)
-//! to the exact E-/M-step boundary where they first break.
+//! variances, row-stochastic responsibilities, one statistics row per
+//! worker) to the exact E-/M-step boundary where they first break.
 //!
 //! Checks are compiled into debug builds and into any build with the
 //! `validate` feature; in a plain release build [`ENABLED`] is `false` and
@@ -13,11 +13,11 @@
 //! perturb the numerics they inspect, so a validated fit is bit-identical
 //! to an unvalidated one.
 
-use crate::model::{TdpmModel, WorkerSkill};
+use crate::model::TdpmModel;
 use crate::params::ModelParams;
 use crate::skillmatrix::SkillMatrix;
-use crate::variational::VariationalState;
-use crowd_math::validate::{check_min_entries, check_symmetric, Validate};
+use crate::variational::{Slab, VariationalState};
+use crowd_math::validate::{check_symmetric, Validate};
 
 /// Tolerance for each `φ` responsibility block summing to 1.
 const PHI_ROW_TOL: f64 = 1e-9;
@@ -165,13 +165,35 @@ impl Validate for ModelParams {
     }
 }
 
-impl Validate for WorkerSkill {
-    /// Posterior mean finite, posterior variance strictly positive.
-    fn validate(&self) -> Result<(), String> {
-        self.mean.validate().map_err(|e| format!("mean: {e}"))?;
-        check_min_entries(&self.variance, f64::MIN_POSITIVE)
-            .map_err(|e| format!("variance must be positive: {e}"))
+/// One worker posterior: mean finite, variance strictly positive (at least
+/// `f64::MIN_POSITIVE`).
+pub(crate) fn check_posterior_row(mean: &[f64], variance: &[f64]) -> Result<(), String> {
+    if let Some(c) = mean.iter().position(|x| !x.is_finite()) {
+        return Err(format!("mean: entry[{c}] = {} is not finite", mean[c]));
     }
+    if let Some(c) = variance
+        .iter()
+        .position(|&x| !(x.is_finite() && x >= f64::MIN_POSITIVE))
+    {
+        return Err(format!(
+            "variance must be positive: entry[{c}] = {} is not finite or below \
+             f64::MIN_POSITIVE",
+            variance[c]
+        ));
+    }
+    Ok(())
+}
+
+/// `slab` holds `rows` rows of `width` entries.
+fn check_rows(name: &str, slab: &Slab, rows: usize, width: usize) -> Result<(), String> {
+    if slab.width() != width || slab.values().len() != rows * width {
+        return Err(format!(
+            "{name} holds {} entries in rows of {}, expected {rows} rows of {width}",
+            slab.values().len(),
+            slab.width()
+        ));
+    }
+    Ok(())
 }
 
 impl Validate for SkillMatrix {
@@ -209,10 +231,9 @@ impl Validate for SkillMatrix {
 }
 
 impl Validate for TdpmModel {
-    /// Parameters, every worker posterior, the dense serving snapshot, and
-    /// their lockstep: the snapshot must hold exactly (bitwise) the
-    /// posterior each skill entry reports, or serving would rank against
-    /// stale numbers.
+    /// Parameters; the worker posteriors in the skill matrix, each variance
+    /// strictly positive; and one row of every incremental-update statistic
+    /// per matrix row.
     fn validate(&self) -> Result<(), String> {
         self.params()
             .validate()
@@ -222,19 +243,20 @@ impl Validate for TdpmModel {
             .validate()
             .map_err(|e| format!("skill matrix: {e}"))?;
         for (row, &w) in matrix.ids().iter().enumerate() {
-            let skill = self
-                .skill(w)
-                .ok_or_else(|| format!("worker {w:?} listed but has no skill entry"))?;
-            skill.validate().map_err(|e| format!("skill[{w:?}]: {e}"))?;
-            if matrix.mean_row(row) != skill.mean.as_slice()
-                || matrix.var_row(row) != skill.variance.as_slice()
-            {
-                return Err(format!(
-                    "serving snapshot out of lockstep with skill posterior for {w:?}"
-                ));
-            }
+            check_posterior_row(matrix.mean_row(row), matrix.var_row(row))
+                .map_err(|e| format!("skill[{w:?}]: {e}"))?;
         }
-        Ok(())
+        let (rows, k) = (matrix.num_workers(), matrix.num_categories());
+        let stats = self.feedback_stats();
+        if stats.num_rows() != rows {
+            return Err(format!(
+                "{} statistics rows for {rows} matrix rows",
+                stats.num_rows()
+            ));
+        }
+        check_rows("sum_cc", &stats.sum_cc, rows, k * k)?;
+        check_rows("sum_sc", &stats.sum_sc, rows, k)?;
+        check_rows("sum_diag", &stats.sum_diag, rows, k)
     }
 }
 

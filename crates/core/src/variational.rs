@@ -61,6 +61,16 @@ impl Slab {
         self.data.chunks_exact(self.width.max(1))
     }
 
+    /// The entries, row after row, as a plain buffer.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
+    /// Appends one row of `width` copies of `value`.
+    pub(crate) fn push_filled(&mut self, value: f64) {
+        self.data.resize(self.data.len() + self.width, value);
+    }
+
     /// Rows `rows` as an owned slab for a pool job: the buffer itself,
     /// moved out, when the range is every row (so a one-chunk phase copies
     /// nothing), else a copy of the range.
