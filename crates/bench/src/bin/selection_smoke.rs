@@ -6,8 +6,9 @@
 //! of {1k, 10k, 100k} workers:
 //!
 //! - `serial` — the preserved pre-dense baseline (`select_top_k_serial`):
-//!   one dense-index row lookup plus one scattered `Vector::dot` per
-//!   candidate, through the per-worker skill records.
+//!   per candidate, one dense-index row lookup, an owned copy of the
+//!   worker's `SkillMatrix` row through `TdpmModel::skill`, and one
+//!   `Vector::dot`.
 //! - `dense_t1/t2/t4/t8` — the contiguous `SkillMatrix` walk at 1–8
 //!   threads (`TdpmModel::select` with `ScoreSpec::threads`); t>1 runs on
 //!   the persistent scoring pool (`crowd_math::ScoringPool`), not per-call
@@ -52,10 +53,11 @@ const BATCH: usize = 32;
 const POOL_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// Minimum batched-vs-serial per-query speedup at the largest pool.
 ///
-/// The serial baseline reaches its skill records through the same dense
-/// id → row index as the batched path, so the ratio measures the blocked
-/// kernel and the contiguous layout alone: 6–8.5x at 100k on a 2-vCPU host.
-/// The gate sits about a third below that, room for the host's swings.
+/// The serial baseline finds each row through the same dense id → row
+/// index as the batched path but copies it out through `TdpmModel::skill`,
+/// so the ratio measures the blocked kernel, the contiguous layout and that
+/// per-candidate copy: 11.7–14.7x at 100k on a 2-vCPU host. The gate sits
+/// well below that, room for the host's swings.
 const GATE_MIN_SPEEDUP: f64 = 5.0;
 /// Single-core hosts: max allowed `dense_t8 / dense_t1` at 100k candidates.
 const GATE_SINGLE_CORE_SLACK_100K: f64 = 1.05;

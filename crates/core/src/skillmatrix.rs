@@ -11,13 +11,13 @@
 //! statistics live beside it, one row per matrix row, because selection
 //! never reads them.
 //!
-//! The dense blocks live behind `Arc` because parallel selection no longer
-//! spawns scoped threads per call: chunk jobs are `'static` closures
-//! submitted to the persistent [`ScoringPool`], and they share the posterior
-//! rows by cloning an `Arc` handle (DESIGN.md §10a). Mutation
-//! (`upsert`) goes through `Arc::make_mut`, which is a plain in-place write
-//! whenever no selection is holding a handle — i.e. always, since selection
-//! completes before returning.
+//! The dense blocks and the row → id list live behind `Arc` because
+//! parallel selection no longer spawns scoped threads per call: chunk jobs
+//! are `'static` closures submitted to the persistent [`ScoringPool`], and
+//! they share the posterior rows by cloning an `Arc` handle (DESIGN.md
+//! §10a). Mutation (`upsert`) goes through `Arc::make_mut`, which is a plain
+//! in-place write whenever no selection is holding a handle — i.e. always,
+//! since selection completes before returning.
 //!
 //! Every selection — one query or a batch, f64 or f32, guarded or not, at
 //! any thread count — runs through one driver ([`SkillMatrix::select`],
@@ -49,9 +49,11 @@ use crowd_math::ScoringPool;
 use crowd_store::WorkerId;
 use std::sync::Arc;
 
-/// Candidates resolved against the matrix: `(worker, row index)` pairs in
-/// input order, unknown workers dropped.
-pub type ResolvedCandidates = Vec<(WorkerId, usize)>;
+/// Candidates resolved against the matrix: their row numbers in input
+/// order, unknown workers dropped. A row's worker is
+/// [`SkillMatrix::ids`]`[row]`, which the scan reads only for a score that
+/// clears the top-k floor.
+pub type ResolvedCandidates = Vec<u32>;
 
 /// Entry of the dense id → row index for an id that has no row.
 const NO_ROW: u32 = u32::MAX;
@@ -89,8 +91,13 @@ impl RowIndex {
 
     /// The row of `id`, if it has one.
     pub(crate) fn get(&self, id: u32) -> Option<usize> {
+        self.entry(id).map(|row| row as usize)
+    }
+
+    /// The row of `id` as stored, if it has one.
+    fn entry(&self, id: u32) -> Option<u32> {
         match self.rows.get(id as usize) {
-            Some(&row) if row != NO_ROW => Some(row as usize),
+            Some(&row) if row != NO_ROW => Some(row),
             _ => None,
         }
     }
@@ -250,14 +257,17 @@ impl Scorer for UcbScorer {
 /// jobs: charges the guard `rows × queries` before every
 /// [`CHECKPOINT_ROWS`] rows and stops at the first refusal, then scores
 /// each [`GEMV_BLOCK_ROWS`] block into an L1-resident stack scratch per
-/// query and feeds that query's [`TopK`]. Per-row scores are one kernel call
-/// whatever the chunking, and [`TopK`] is feed-order independent, so every
-/// chunking gives the same bits; a refusal stops every query at the same
-/// row, so no ranking mixes scored and unscored rows. Returns each query's
-/// winners and the scanned row count.
+/// query and feeds that query's [`TopK`]. A score below the query's top-k
+/// floor costs one compare; only one that clears it reads its row's
+/// [`WorkerId`] from `ids`, the tie-break key. Per-row scores are one kernel
+/// call whatever the chunking, and [`TopK`] is feed-order independent, so
+/// every chunking gives the same bits; a refusal stops every query at the
+/// same row, so no ranking mixes scored and unscored rows. Returns each
+/// query's winners and the scanned row count.
 fn scan_chunk<S: Scorer>(
     scorer: &S,
-    run: &[(WorkerId, usize)],
+    ids: &[WorkerId],
+    run: &[u32],
     k: usize,
     guard: &impl WorkGuard,
 ) -> (Vec<Vec<RankedWorker>>, usize) {
@@ -271,11 +281,13 @@ fn scan_chunk<S: Scorer>(
         }
         for block in checkpoint.chunks(GEMV_BLOCK_ROWS) {
             for (x, heap) in queries.iter().zip(heaps.iter_mut()) {
-                for (slot, &(_, row)) in scratch.iter_mut().zip(block) {
-                    *slot = scorer.score(row, x);
+                for (slot, &row) in scratch.iter_mut().zip(block) {
+                    *slot = scorer.score(row as usize, x);
                 }
-                for (&(w, _), &s) in block.iter().zip(&scratch) {
-                    heap.push(w, s);
+                for (&row, &s) in block.iter().zip(&scratch) {
+                    if !heap.below_floor(s) {
+                        heap.push(ids[row as usize], s);
+                    }
                 }
             }
         }
@@ -289,8 +301,9 @@ fn scan_chunk<S: Scorer>(
 /// [`GEMV_BLOCK_ROWS`]-aligned, and scans one chunk inline or several on
 /// the persistent [`ScoringPool`] (the submitting thread helps drain them).
 /// Each query's per-chunk winners merge with one more [`top_k`]. Pooled
-/// jobs carry a clone of the guard, all forwarding to the same shared
-/// state, so one firing guard stops every chunk pool-wide.
+/// jobs carry a copy of their chunk's row numbers, an `Arc` handle to the
+/// row → id list and a clone of the guard, all guard clones forwarding to
+/// the same shared state, so one firing guard stops every chunk pool-wide.
 ///
 /// # Panics
 ///
@@ -298,7 +311,8 @@ fn scan_chunk<S: Scorer>(
 /// there is no error value to surface from a completed job).
 fn drive<S, G>(
     scorer: S,
-    resolved: &[(WorkerId, usize)],
+    ids: &Arc<Vec<WorkerId>>,
+    resolved: &[u32],
     k: usize,
     threads: usize,
     guard: &G,
@@ -315,7 +329,7 @@ where
         .max(MIN_POOL_CHUNK_ROWS)
         .next_multiple_of(GEMV_BLOCK_ROWS);
     let mut partials = if chunk >= n {
-        vec![scan_chunk(&scorer, resolved, k, guard)]
+        vec![scan_chunk(&scorer, ids, resolved, k, guard)]
     } else {
         let scorer = Arc::new(scorer);
         let jobs: Vec<_> = resolved
@@ -323,8 +337,9 @@ where
             .map(|c| {
                 let run = c.to_vec();
                 let scorer = Arc::clone(&scorer);
+                let ids = Arc::clone(ids);
                 let guard = G::clone(guard);
-                move || scan_chunk(&*scorer, &run, k, &guard)
+                move || scan_chunk(&*scorer, &ids, &run, k, &guard)
             })
             .collect();
         ScoringPool::global().run(jobs)
@@ -363,7 +378,7 @@ where
 pub struct SkillMatrix {
     k: usize,
     /// Worker id by row.
-    ids: Vec<WorkerId>,
+    ids: Arc<Vec<WorkerId>>,
     /// Row by worker id.
     rows: RowIndex,
     /// Row-major `W × K` posterior means (`λ_w`).
@@ -407,7 +422,7 @@ impl SkillMatrix {
         let means_f32 = means.iter().map(|&m| m as f32).collect();
         Ok(SkillMatrix {
             k,
-            ids,
+            ids: Arc::new(ids),
             rows,
             means: Arc::new(means),
             vars: Arc::new(vars),
@@ -482,7 +497,7 @@ impl SkillMatrix {
             }
             None => {
                 self.rows.set(worker.0, self.ids.len());
-                self.ids.push(worker);
+                Arc::make_mut(&mut self.ids).push(worker);
                 means.extend_from_slice(mean);
                 vars.extend_from_slice(var);
                 means_f32.extend(mean.iter().map(|&m| m as f32));
@@ -490,13 +505,13 @@ impl SkillMatrix {
         }
     }
 
-    /// Resolves candidate ids to `(worker, row)` pairs in input order,
-    /// dropping workers the matrix does not know: one read of the dense id
-    /// → row index per candidate, paid once per batch by the batched paths.
+    /// Resolves candidate ids to their row numbers in input order, dropping
+    /// workers the matrix does not know: one read of the dense id → row
+    /// index per candidate, paid once per batch by the batched paths.
     pub fn resolve(&self, candidates: impl IntoIterator<Item = WorkerId>) -> ResolvedCandidates {
         let candidates = candidates.into_iter();
         let mut resolved = Vec::with_capacity(candidates.size_hint().0);
-        resolved.extend(candidates.filter_map(|w| self.row_of(w).map(|row| (w, row))));
+        resolved.extend(candidates.filter_map(|w| self.rows.entry(w.0)));
         resolved
     }
 
@@ -523,7 +538,7 @@ impl SkillMatrix {
     pub fn select<G>(
         &self,
         lambdas: &[&[f64]],
-        resolved: &[(WorkerId, usize)],
+        resolved: &[u32],
         k: usize,
         spec: &ScoreSpec<G>,
     ) -> Vec<PartialRanking>
@@ -545,6 +560,7 @@ impl SkillMatrix {
                     means: Arc::clone(&self.means),
                     queries: lambdas.iter().map(|x| x.to_vec()).collect(),
                 },
+                &self.ids,
                 resolved,
                 k,
                 threads,
@@ -559,6 +575,7 @@ impl SkillMatrix {
                         .map(|x| x.iter().map(|&v| v as f32).collect())
                         .collect(),
                 },
+                &self.ids,
                 resolved,
                 k,
                 threads,
@@ -573,7 +590,7 @@ impl SkillMatrix {
     pub fn select_optimistic(
         &self,
         lambda: &[f64],
-        resolved: &[(WorkerId, usize)],
+        resolved: &[u32],
         k: usize,
         beta: f64,
         threads: usize,
@@ -590,7 +607,7 @@ impl SkillMatrix {
             lambda: [lambda.to_vec()],
             beta,
         };
-        drive(scorer, resolved, k, threads, &Unchecked)
+        drive(scorer, &self.ids, resolved, k, threads, &Unchecked)
             .pop()
             .map(|p| p.ranked)
             .unwrap_or_default()
@@ -649,7 +666,7 @@ mod tests {
     fn one<G>(
         m: &SkillMatrix,
         lambda: &[f64],
-        resolved: &[(WorkerId, usize)],
+        resolved: &[u32],
         k: usize,
         spec: &ScoreSpec<G>,
     ) -> PartialRanking
@@ -699,8 +716,20 @@ mod tests {
     fn resolve_drops_unknown_and_keeps_order() {
         let m = matrix();
         let resolved = m.resolve(vec![WorkerId(7), WorkerId(99), WorkerId(2)]);
-        assert_eq!(resolved, vec![(WorkerId(7), 7), (WorkerId(2), 2)]);
+        assert_eq!(resolved, vec![7, 2]);
         assert_eq!(m.resolve_all().len(), 10);
+    }
+
+    #[test]
+    fn ties_rank_by_worker_id_not_by_row() {
+        let mut m = SkillMatrix::new(2);
+        for w in [9, 3, 5] {
+            m.upsert(WorkerId(w), &[1.0, 0.5], &[0.1, 0.1]);
+        }
+        assert_eq!(m.ids(), [WorkerId(9), WorkerId(3), WorkerId(5)]);
+        let ranked = one(&m, &[1.0, 1.0], &m.resolve_all(), 3, &spec(1)).ranked;
+        let order: Vec<WorkerId> = ranked.iter().map(|r| r.worker).collect();
+        assert_eq!(order, [WorkerId(3), WorkerId(5), WorkerId(9)]);
     }
 
     #[test]

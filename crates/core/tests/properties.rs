@@ -50,6 +50,38 @@ fn arb_scored() -> impl Strategy<Value = Vec<(WorkerId, f64)>> {
     })
 }
 
+/// Scores on distinct workers drawn from a tie-heavy alphabet: signed zeros,
+/// infinities and NaN, repeated often enough to sit at the top-k floor.
+fn arb_tied_scored() -> impl Strategy<Value = Vec<(WorkerId, f64)>> {
+    const ALPHABET: [f64; 7] = [
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.0,
+        0.0,
+        1.0,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    prop::collection::vec((0u32..40, 0usize..ALPHABET.len()), 0..40).prop_map(|mut v| {
+        v.sort_by_key(|&(w, _)| w);
+        v.dedup_by_key(|&mut (w, _)| w);
+        v.into_iter()
+            .map(|(w, i)| (WorkerId(w), ALPHABET[i]))
+            .collect()
+    })
+}
+
+/// `scored` (continuous or tie-heavy) in an arbitrary feed order: one random
+/// sort key per entry (both strategies draw fewer than 40 entries).
+fn arb_shuffled_scored() -> impl Strategy<Value = Vec<(WorkerId, f64)>> {
+    let scored = prop_oneof![arb_scored(), arb_tied_scored()];
+    (scored, prop::collection::vec(0u64..u64::MAX, 40)).prop_map(|(scored, keys)| {
+        let mut keyed: Vec<_> = keys.into_iter().zip(scored).collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, x)| x).collect()
+    })
+}
+
 /// A small random—but always trainable—training set.
 fn arb_training_set() -> impl Strategy<Value = TrainingSet> {
     let task = (
@@ -79,15 +111,19 @@ fn arb_training_set() -> impl Strategy<Value = TrainingSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// The floor-gated heap against a full sort that never touches `TopK`:
+    /// same ids and same score bits, whatever the feed order, with ties,
+    /// signed zeros and infinities at the floor.
     #[test]
-    fn top_k_agrees_with_full_sort(scored in arb_scored(), k in 0usize..10) {
+    fn top_k_agrees_with_full_sort(scored in arb_shuffled_scored(), k in 0usize..10) {
         let fast = top_k(scored.clone(), k);
-        let mut naive = scored.clone();
+        let mut naive: Vec<_> = scored.into_iter().filter(|(_, s)| !s.is_nan()).collect();
         naive.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         naive.truncate(k);
         prop_assert_eq!(fast.len(), naive.len());
         for (f, n) in fast.iter().zip(&naive) {
             prop_assert_eq!(f.worker, n.0);
+            prop_assert_eq!(f.score.to_bits(), n.1.to_bits());
         }
     }
 

@@ -588,6 +588,25 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_limit_returns_the_whole_roster() {
+        let mut e = seeded_engine();
+        e.run("TRAIN MODEL WITH 2 CATEGORIES").unwrap();
+        for backend in ["tdpm", "vsm"] {
+            let mut rows = |limit: u32| {
+                let stmt =
+                    format!("SELECT WORKERS FOR TASK 'b+ tree' LIMIT {limit} USING {backend}");
+                match e.run(&stmt).unwrap() {
+                    QueryOutput::Workers(rows) => rows,
+                    other => panic!("expected workers, got {other:?}"),
+                }
+            };
+            let all = rows(u32::MAX);
+            assert_eq!(all.len(), 2, "{backend}");
+            assert_eq!(all, rows(2), "{backend}");
+        }
+    }
+
+    #[test]
     fn tdpm_requires_training() {
         let mut e = seeded_engine();
         let err = e.run("SELECT WORKERS FOR TASK 'q'").unwrap_err();

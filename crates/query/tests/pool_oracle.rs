@@ -95,7 +95,7 @@ fn every_backend_is_bit_identical_guarded_and_unguarded() {
 
 /// A matrix wide enough that 2 and 8 threads both split into multiple
 /// pooled chunks past the [`MIN_POOL_CHUNK_ROWS`] floor.
-fn wide_matrix() -> (SkillMatrix, Vec<(WorkerId, usize)>) {
+fn wide_matrix() -> (SkillMatrix, Vec<u32>) {
     let n = u32::try_from(4 * MIN_POOL_CHUNK_ROWS).unwrap();
     let mut m = SkillMatrix::new(3);
     for w in 0..n {

@@ -40,9 +40,14 @@ impl Ord for Entry {
 /// function of the pushed multiset — feed order never changes it. That is
 /// what lets the cache-blocked batch driver feed each query's scores block
 /// by block instead of materializing every score first.
+///
+/// The heap grows as entries arrive and never holds more than `k`, so a
+/// `k` far beyond the candidate count (an oversized `LIMIT`) costs nothing.
 #[derive(Debug)]
 pub struct TopK {
     k: usize,
+    /// The worst score held once the heap holds `k` entries, −∞ before.
+    floor: f64,
     heap: std::collections::BinaryHeap<Entry>,
 }
 
@@ -51,30 +56,47 @@ impl TopK {
     pub fn new(k: usize) -> Self {
         TopK {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            floor: f64::NEG_INFINITY,
+            heap: std::collections::BinaryHeap::new(),
         }
     }
 
-    /// Offer one scored worker. NaN scores are skipped.
+    /// `true` when [`push`](TopK::push)ing `score` is certain to change
+    /// nothing: the heap is full and `score` is below its worst score. One
+    /// float compare, so a caller can skip even looking up the worker.
+    ///
+    /// The floor is exact. It is never NaN (NaN never enters the heap), and
+    /// for a non-NaN `score`, IEEE `score < floor` implies `total_cmp` ranks
+    /// it below the worst entry, which the full-heap check would reject
+    /// too. A score equal to the floor (a `-0.0` against a `+0.0` floor
+    /// included) falls through to that total-order check, and NaN to the
+    /// NaN skip.
+    #[inline]
+    pub fn below_floor(&self, score: f64) -> bool {
+        score < self.floor
+    }
+
+    /// Offer one scored worker. A score [below the
+    /// floor](TopK::below_floor) returns at once; NaN scores are skipped.
     #[inline]
     pub fn push(&mut self, worker: WorkerId, score: f64) {
-        if self.k == 0 || score.is_nan() {
+        if self.below_floor(score) || self.k == 0 || score.is_nan() {
             return;
         }
         let entry = Entry(score, worker);
-        if self.heap.len() == self.k {
-            // Full heap: on large pools almost every candidate ranks no
-            // better than the current worst — reject it with one O(1) peek
-            // instead of a push + pop (two heap sifts). An entry equal to
-            // the worst leaves the same multiset either way, so the output
-            // is unchanged.
-            if self.heap.peek().is_some_and(|worst| entry >= *worst) {
+        if self.heap.len() < self.k {
+            self.heap.push(entry);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            // Full heap: an entry that ranks no better than the worst
+            // (equal bits and id included) leaves the same multiset, so
+            // only a strictly better one replaces it, in one sift.
+            if entry >= *worst {
                 return;
             }
-            self.heap.push(entry);
-            self.heap.pop(); // evicts the current worst
-        } else {
-            self.heap.push(entry);
+            *worst = entry;
+        }
+        if self.heap.len() == self.k {
+            self.floor = self.heap.peek().map_or(f64::NEG_INFINITY, |worst| worst.0);
         }
     }
 
@@ -193,9 +215,11 @@ mod tests {
 
     #[test]
     fn k_larger_than_candidates_returns_all() {
-        let out = top_k(scored(&[(0, 1.0), (1, 2.0)]), 10);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].worker, WorkerId(1));
+        for k in [10, usize::MAX] {
+            let out = top_k(scored(&[(0, 1.0), (1, 2.0)]), k);
+            assert_eq!(out.len(), 2);
+            assert_eq!(out[0].worker, WorkerId(1));
+        }
     }
 
     #[test]

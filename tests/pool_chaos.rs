@@ -118,7 +118,7 @@ fn assert_tables_bit_equal(got: &WorkerTable, want: &WorkerTable, ctx: &str) {
 }
 
 /// Wide shared matrix: every 8-thread scan splits into pooled chunks.
-fn wide_matrix() -> (SkillMatrix, Vec<(WorkerId, usize)>) {
+fn wide_matrix() -> (SkillMatrix, Vec<u32>) {
     let n = u32::try_from(4 * MIN_POOL_CHUNK_ROWS).unwrap();
     let mut m = SkillMatrix::new(2);
     for w in 0..n {
